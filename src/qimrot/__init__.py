@@ -41,9 +41,13 @@ from .oracle import (
 )
 from .pgm import read_pgm, write_pgm
 from .shear import (
+    SEMANTIC,
+    DomainError,
     HalfRoutingError,
+    PhaseBackend,
     RotationResult,
     RotationSpec,
+    SemanticBackend,
     ShearSpec,
     UnsupportedAngleError,
     apply_shear,
@@ -59,12 +63,11 @@ from .shear import (
 )
 from .shear_netlists import (
     MAX_NETLIST_EXPONENT,
+    NetlistBackend,
     NetlistModeError,
     build_shear_netlist,
     build_uniform_half_shear,
     build_uniform_horizontal_shear,
-    netlist_apply_shear,
-    netlist_rotate,
     run_shear_phase,
 )
 

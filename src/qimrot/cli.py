@@ -3,7 +3,7 @@
 Exit codes: 0 success (and, for verify/audit, full agreement); 1 a
 verification or audit comparison failed; 2 unreadable or malformed image
 input; 3 unsupported angle or parameter domain (including the netlist-mode
-size limit); 4 output could not be written.
+size, canvas and factor limits); 4 output could not be written.
 """
 from __future__ import annotations
 
@@ -19,19 +19,17 @@ from .neqr import ImageFormatError, NEQRImage, encode, decode
 from .oracle import agreement_fraction, ideal_rotate, oracle_rotate
 from .pgm import read_pgm, write_pgm
 from .shear import (
+    HORIZONTAL,
+    SEMANTIC,
+    DomainError,
+    PhaseBackend,
     RotationSpec,
     ShearSpec,
-    UnsupportedAngleError,
     apply_shear,
     exact_turn,
     rotate,
 )
-from .shear_netlists import (
-    MAX_NETLIST_EXPONENT,
-    NetlistModeError,
-    netlist_apply_shear,
-    netlist_rotate,
-)
+from .shear_netlists import NetlistBackend
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -82,18 +80,8 @@ def _intermediate_path(output: str, phase: int) -> str:
     return f"{stem}.phase{phase}.pgm"
 
 
-def _check_netlist_mode(cfg: CommandConfig, n: int) -> None:
-    if cfg.mode != "netlist":
-        return
-    if cfg.canvas == "expand":
-        raise NetlistModeError(
-            "netlist mode supports the clip canvas only (half dispatch reads "
-            "one register bit, which is meaningful only in frame)"
-        )
-    if n > MAX_NETLIST_EXPONENT:
-        raise NetlistModeError(
-            f"netlist mode is limited to sides up to {1 << MAX_NETLIST_EXPONENT}"
-        )
+def _backend(cfg: CommandConfig) -> PhaseBackend:
+    return NetlistBackend(cfg.order) if cfg.mode == "netlist" else SEMANTIC
 
 
 def _cmd_rotate(cfg: CommandConfig) -> int:
@@ -102,12 +90,7 @@ def _cmd_rotate(cfg: CommandConfig) -> int:
         result_image = exact_turn(image, cfg.exact_turn)
         _write_raster(cfg.output, decode(result_image), cfg.ascii_output)
         return EXIT_OK
-    spec = RotationSpec(cfg.angle)
-    _check_netlist_mode(cfg, image.n)
-    if cfg.mode == "netlist":
-        result = netlist_rotate(image, spec, order=cfg.order)
-    else:
-        result = rotate(image, spec, canvas=cfg.canvas)
+    result = rotate(image, RotationSpec(cfg.angle), cfg.canvas, _backend(cfg))
     _write_raster(cfg.output, decode(result.final), cfg.ascii_output)
     if cfg.emit_intermediates:
         _write_raster(_intermediate_path(cfg.output, 1), decode(result.phase1), cfg.ascii_output)
@@ -116,20 +99,14 @@ def _cmd_rotate(cfg: CommandConfig) -> int:
 
 
 def _cmd_shear(cfg: CommandConfig) -> int:
-    import math
-
     image = _load_image(cfg.input)
     if cfg.factor is not None:
-        factor = cfg.factor
+        spec = ShearSpec.from_factor(cfg.axis, cfg.factor, image.n)
+    elif cfg.axis == HORIZONTAL:
+        spec = ShearSpec.horizontal_for_angle(cfg.angle, image.n)
     else:
-        theta = math.radians(cfg.angle)
-        factor = math.tan(theta / 2) if cfg.axis == "horizontal" else math.sin(theta)
-    spec = ShearSpec.from_factor(cfg.axis, factor, image.n)
-    _check_netlist_mode(cfg, image.n)
-    if cfg.mode == "netlist":
-        sheared = netlist_apply_shear(image, spec, order=cfg.order)
-    else:
-        sheared = apply_shear(image, spec, canvas=cfg.canvas)
+        spec = ShearSpec.vertical_for_angle(cfg.angle, image.n)
+    sheared = apply_shear(image, spec, cfg.canvas, _backend(cfg))
     _write_raster(cfg.output, decode(sheared), cfg.ascii_output)
     return EXIT_OK
 
@@ -139,15 +116,13 @@ def _cmd_verify(cfg: CommandConfig) -> int:
         image = _load_image(cfg.input)
     else:
         side = cfg.size
+        if side < 1:
+            raise DomainError(f"--size must be positive, got {side}")
         image = encode(patterns.checkerboard(side, tile=max(side // 8, 1)))
-    if image.n > MAX_NETLIST_EXPONENT:
-        raise NetlistModeError(
-            f"verify runs netlist mode and is limited to sides up to "
-            f"{1 << MAX_NETLIST_EXPONENT}"
-        )
     spec = RotationSpec(cfg.angle)
+    # netlist first: it refuses what it cannot run before the semantic engine works
+    gates = decode(rotate(image, spec, backend=NetlistBackend(cfg.order)).final)
     semantic = decode(rotate(image, spec).final)
-    gates = decode(netlist_rotate(image, spec, order=cfg.order).final)
     reference = oracle_rotate(image.raster(), cfg.angle)
     ok = bool(np.array_equal(gates, semantic) and np.array_equal(semantic, reference))
     print(f"netlist == semantic == oracle: {'PASS' if ok else 'FAIL'}")
@@ -157,6 +132,11 @@ def _cmd_verify(cfg: CommandConfig) -> int:
 
 
 def _cmd_audit(cfg: CommandConfig) -> int:
+    if not (1 <= cfg.n_min <= cfg.n_max and 4 <= cfg.m_min <= cfg.m_max):
+        raise DomainError(
+            "audit needs 1 <= n-min <= n-max and 4 <= m-min <= m-max, got "
+            f"n {cfg.n_min}..{cfg.n_max}, m {cfg.m_min}..{cfg.m_max}"
+        )
     report = audit_report(range(cfg.n_min, cfg.n_max + 1), range(cfg.m_min, cfg.m_max + 1))
     print(report.to_table())
     side = 64
@@ -179,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rotate NEQR-encoded PGM images by three reversible shear circuits.",
         epilog=(
             "exit codes: 0 ok; 1 verification/audit mismatch; 2 bad image input; "
-            "3 unsupported angle or size domain; 4 write failure"
+            "3 unsupported angle or parameter domain; 4 write failure"
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -265,7 +245,7 @@ def run(cfg: CommandConfig) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (UnsupportedAngleError, NetlistModeError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except _WriteFailure as exc:

@@ -201,14 +201,6 @@ class Netlist:
             value |= ((state.bits >> wire) & 1) << k
         return value
 
-    def signed_register_value(self, state: BasisState, name: str) -> int:
-        """Register value read as two's complement."""
-        ids = self.registers[name]
-        value = self.register_value(state, name)
-        if value >= 1 << (len(ids) - 1):
-            value -= 1 << len(ids)
-        return value
-
 
 def execute(netlist: Netlist, state: BasisState) -> BasisState:
     """Apply the gate sequence to a basis state and return the image state."""

@@ -23,11 +23,17 @@ Sheared coordinates may leave the frame.  The default canvas clips them
 after every shear (background 0); the expanded canvas keeps all terms and
 materialises results on a 2^(n+2)-sided frame whose origin sits 3 * 2^(n-1)
 before the original one.
+
+``rotate`` and ``apply_shear`` are the one pipeline.  Each shear phase runs
+on a pluggable backend: ``SEMANTIC`` (plain integer arithmetic, the
+default) or the gate-level ``shear_netlists.NetlistBackend``.  A backend
+refuses the requests it cannot run before any term is sheared.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 from .arithmetic import FixedPointValue
 from .neqr import NEQRImage, PixelTerm
@@ -40,7 +46,11 @@ VERTICAL = "vertical"
 _EXPAND_OFFSET_HALVES = 3
 
 
-class UnsupportedAngleError(ValueError):
+class DomainError(ValueError):
+    """Request outside the supported parameter domain."""
+
+
+class UnsupportedAngleError(DomainError):
     """Rotation angle outside the supported open interval (-90, 90)."""
 
 
@@ -63,7 +73,7 @@ class ShearSpec:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.n < 1:
-            raise ValueError("image exponent must be at least 1")
+            raise DomainError("cannot shear a single-pixel image")
 
     @property
     def median(self) -> int:
@@ -72,16 +82,24 @@ class ShearSpec:
 
     @classmethod
     def from_factor(cls, axis: str, factor: float, n: int) -> "ShearSpec":
-        sign = 1 if factor >= 0 else -1
+        sign = 1 if _finite(factor, "shear factor") >= 0 else -1
         return cls(axis, FixedPointValue.quantize(abs(factor)), sign, n)
 
     @classmethod
     def horizontal_for_angle(cls, theta_degrees: float, n: int) -> "ShearSpec":
-        return cls.from_factor(HORIZONTAL, math.tan(math.radians(theta_degrees) / 2), n)
+        theta = math.radians(_finite(theta_degrees, "angle"))
+        return cls.from_factor(HORIZONTAL, math.tan(theta / 2), n)
 
     @classmethod
     def vertical_for_angle(cls, theta_degrees: float, n: int) -> "ShearSpec":
-        return cls.from_factor(VERTICAL, math.sin(math.radians(theta_degrees)), n)
+        theta = math.radians(_finite(theta_degrees, "angle"))
+        return cls.from_factor(VERTICAL, math.sin(theta), n)
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -167,8 +185,27 @@ def shear_term(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
     return shear_right_half(term, spec)
 
 
-def _shear_all(terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
-    return [shear_term(t, spec) for t in terms]
+class PhaseBackend(Protocol):
+    """How one shear phase is computed."""
+
+    def check(self, spec: ShearSpec, canvas: str) -> None:
+        """Raise a DomainError if this backend cannot run the phase."""
+
+    def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
+        """Shear every term; coordinates may leave the frame."""
+
+
+class SemanticBackend:
+    """Plain integer arithmetic per term; runs every phase and canvas."""
+
+    def check(self, spec: ShearSpec, canvas: str) -> None:
+        pass
+
+    def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
+        return [shear_term(t, spec) for t in terms]
+
+
+SEMANTIC = SemanticBackend()
 
 
 def _clip(terms: list[PixelTerm], n: int) -> list[PixelTerm]:
@@ -191,29 +228,35 @@ def _materialize(terms: list[PixelTerm], n: int, canvas: str) -> NEQRImage:
     return NEQRImage.from_terms(exponent, shifted)
 
 
-def apply_shear(image: NEQRImage, spec: ShearSpec, canvas: str = "clip") -> NEQRImage:
+def apply_shear(
+    image: NEQRImage, spec: ShearSpec, canvas: str = "clip", backend: PhaseBackend = SEMANTIC
+) -> NEQRImage:
     """Shear every term of an image; vacated positions take background 0."""
     if spec.n != image.n:
         raise ValueError(f"spec built for 2^{spec.n} frame, image is 2^{image.n}")
-    sheared = _shear_all(list(image.terms()), spec)
+    backend.check(spec, canvas)
+    sheared = backend.shear(list(image.terms()), spec)
     return _materialize(sheared, image.n, canvas)
 
 
-def rotate(image: NEQRImage, spec: RotationSpec, canvas: str = "clip") -> RotationResult:
+def rotate(
+    image: NEQRImage, spec: RotationSpec, canvas: str = "clip", backend: PhaseBackend = SEMANTIC
+) -> RotationResult:
     """Run the three-phase shear pipeline, keeping both intermediate frames.
 
     With the clip canvas, terms leaving the frame are dropped after every
     phase, exactly as each intermediate image shows.  With the expanded
     canvas no term is dropped between phases and all three outputs live on
-    the 2^(n+2) frame.
+    the 2^(n+2) frame.  The backend vets all three phases before the first
+    one runs.
     """
-    if image.n < 1:
-        raise UnsupportedAngleError("cannot shear a single-pixel image")
     phase_specs = spec.phase_specs(image.n)
+    for phase in phase_specs:
+        backend.check(phase, canvas)
     terms = list(image.terms())
     snapshots = []
     for phase in phase_specs:
-        terms = _shear_all(terms, phase)
+        terms = backend.shear(terms, phase)
         if canvas == "clip":
             terms = _clip(terms, image.n)
         snapshots.append(_materialize(terms, image.n, canvas))

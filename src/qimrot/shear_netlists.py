@@ -7,8 +7,9 @@ multiplier, rounding interpolation, coordinate update, uncomputation):
   require: two's-complement coordinate registers with two guard bits plus a
   sign bit, a 5-bit factor register (1 integer + 4 fraction bits) driving
   the multiplier stages, and a carry-free modular adder for the final
-  coordinate update.  These are what netlist execution mode runs, term by
-  term, and they agree bit for bit with the semantic engine.
+  coordinate update.  ``NetlistBackend`` runs these term by term inside
+  ``shear.rotate``/``shear.apply_shear``, and they agree bit for bit with the
+  semantic engine.
 
 * uniform-width netlists for the cost audit, where the two coordinate
   adders, the multiplier stage count, and the interpolation all share one
@@ -34,27 +35,24 @@ from .arithmetic import (
     emit_modular_adder,
 )
 from .core import Netlist, NetlistBuilder
-from .neqr import NEQRImage, PixelTerm
-from .shear import (
-    HORIZONTAL,
-    VERTICAL,
-    RotationResult,
-    RotationSpec,
-    ShearSpec,
-)
+from .neqr import PixelTerm
+from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
 
 #: Netlist execution walks every gate for every pixel term; above this frame
 #: exponent the pure-Python walk stops being interactive.
 MAX_NETLIST_EXPONENT = 6
 
-#: Guard bits + sign added to coordinate registers; shears at |angle| < 90
-#: never leave the [-2^(n+2), 2^(n+2)) window this provides.
+#: Guard bits + sign added to coordinate registers.  The factor register
+#: bounds the displacement, |d| <= round(2^(n-1) * 31/16) <= 2^n, so an
+#: in-frame coordinate lands in [-2^n, 2^(n+1)), inside the
+#: [-2^(n+2), 2^(n+2)) window this provides.
 COORD_EXTRA_BITS = 3
 
-_FACTOR_BITS = 5  # 1 integer bit + 4 fraction bits covers factors up to 1.0
+#: 1 integer bit + 4 fraction bits: factors up to 31/16 (1.9375).
+_FACTOR_BITS = 5
 
 
-class NetlistModeError(ValueError):
+class NetlistModeError(DomainError):
     """Request outside what gate-level execution supports."""
 
 
@@ -202,38 +200,34 @@ def run_shear_phase(
     return out
 
 
-def _clip_terms(terms: list[PixelTerm], n: int) -> list[PixelTerm]:
-    side = 1 << n
-    return [t for t in terms if 0 <= t.y < side and 0 <= t.x < side]
+class NetlistBackend:
+    """Phase backend executing the gate-level shear netlist per term.
 
+    The one place that refuses what gate-level execution cannot run.
+    """
 
-def _check_exponent(n: int) -> None:
-    if n > MAX_NETLIST_EXPONENT:
-        raise NetlistModeError(
-            f"netlist mode is limited to frames up to 2^{MAX_NETLIST_EXPONENT} "
-            f"(got 2^{n}); use semantic mode for larger images"
-        )
+    def __init__(self, order: str = "tb") -> None:
+        self.order = order
 
+    def check(self, spec: ShearSpec, canvas: str) -> None:
+        if canvas != "clip":
+            raise NetlistModeError(
+                "netlist mode supports the clip canvas only (half dispatch reads "
+                "one register bit, which is meaningful only in frame)"
+            )
+        if spec.n > MAX_NETLIST_EXPONENT:
+            raise NetlistModeError(
+                f"netlist mode is limited to frames up to 2^{MAX_NETLIST_EXPONENT} "
+                f"(got 2^{spec.n}); use semantic mode for larger images"
+            )
+        if spec.factor.sixteenths >= 1 << _FACTOR_BITS:
+            raise NetlistModeError(
+                f"netlist mode holds factors up to {(1 << _FACTOR_BITS) - 1}/16 "
+                f"(got {spec.factor.sixteenths}/16); use semantic mode"
+            )
 
-def netlist_apply_shear(image: NEQRImage, spec: ShearSpec, order: str = "tb") -> NEQRImage:
-    """Gate-level counterpart of apply_shear (clip canvas only)."""
-    _check_exponent(image.n)
-    if spec.n != image.n:
-        raise ValueError(f"spec built for 2^{spec.n} frame, image is 2^{image.n}")
-    sheared = run_shear_phase(list(image.terms()), image.n, spec, order)
-    return NEQRImage.from_terms(image.n, sheared)
-
-
-def netlist_rotate(image: NEQRImage, spec: RotationSpec, order: str = "tb") -> RotationResult:
-    """Gate-level counterpart of rotate (clip canvas only)."""
-    _check_exponent(image.n)
-    terms = list(image.terms())
-    snapshots = []
-    for phase in spec.phase_specs(image.n):
-        terms = run_shear_phase(terms, image.n, phase, order)
-        terms = _clip_terms(terms, image.n)
-        snapshots.append(NEQRImage.from_terms(image.n, terms))
-    return RotationResult(snapshots[2], snapshots[0], snapshots[1])
+    def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
+        return run_shear_phase(terms, spec.n, spec, self.order)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from qimrot.shear import (
     rotate,
     shear_term,
 )
-from qimrot.shear_netlists import netlist_rotate, run_shear_phase
+from qimrot.shear_netlists import NetlistBackend, run_shear_phase
 
 
 def criterion(cid, title):
@@ -153,7 +153,7 @@ def test_criterion_4_rotation_equivalence():
     image = encode(random_raster(16, seed=7))
     for theta in (30, 45):
         semantic = rotate(image, RotationSpec(theta))
-        gates = netlist_rotate(image, RotationSpec(theta))
+        gates = rotate(image, RotationSpec(theta), backend=NetlistBackend())
         assert gates.final == semantic.final
         assert gates.phase1 == semantic.phase1
         assert gates.phase2 == semantic.phase2

@@ -97,6 +97,15 @@ class TestReport:
         assert len(report.mismatches()) == 2
         assert "CORE DELTA NONZERO" in report.to_table()
 
+    def test_shear_row_delta_fails_the_report(self):
+        rows = [
+            AuditRow("adder", 2, None, Fraction(44), 44, 0),
+            AuditRow("full_horizontal_shear", 2, 4, Fraction(100), 101, 0),
+        ]
+        report = GateCostReport(rows)
+        assert not report.core_mismatches()
+        assert not report.ok
+
     def test_delta_is_rational_difference(self):
         row = AuditRow("ctrl_multi", 1, 1, Fraction(29), 29, 10)
         assert row.delta == 0

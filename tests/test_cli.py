@@ -10,7 +10,7 @@ from qimrot.cli import (
     config_from_args,
     run,
 )
-from qimrot.oracle import oracle_rotate
+from qimrot.oracle import oracle_rotate, oracle_shear
 from qimrot.patterns import gradient, random_raster
 from qimrot.pgm import read_pgm, write_pgm
 
@@ -85,7 +85,6 @@ def test_shear_factor_and_ascii_output(tmp_path, image_file):
                    "--axis", "horizontal", "--factor", "0.5", "--ascii"]) == EXIT_OK
     data = open(out, "rb").read(2)
     assert data == b"P2"
-    from qimrot.oracle import oracle_shear
     assert np.array_equal(read_pgm(out), oracle_shear(read_pgm(image_file), "horizontal", 0.5))
 
 
@@ -156,6 +155,34 @@ class TestErrorExits:
         assert invoke(["rotate", "--input", image_file, "--output", out,
                        "--angle", "30", "--mode", "netlist",
                        "--canvas", "expand"]) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("factor", [["--factor", "nan"], ["--factor", "inf"],
+                                        ["--angle", "nan"], ["--angle", "inf"]])
+    def test_non_finite_shear_factor(self, tmp_path, image_file, factor):
+        out = tmp_path / "x.pgm"
+        assert invoke(["shear", "--input", image_file, "--output", str(out),
+                       "--axis", "horizontal", *factor]) == EXIT_DOMAIN
+        assert not out.exists()
+
+    def test_netlist_shear_refuses_factor_beyond_register(self, tmp_path, image_file):
+        out = tmp_path / "x.pgm"
+        assert invoke(["shear", "--input", image_file, "--output", str(out),
+                       "--axis", "vertical", "--factor", "2", "--mode", "netlist"]) == EXIT_DOMAIN
+        assert not out.exists()
+        # the largest factor the 5-bit register holds, 31/16, still runs
+        assert invoke(["shear", "--input", image_file, "--output", str(out),
+                       "--axis", "vertical", "--factor", "1.96", "--mode", "netlist"]) == EXIT_OK
+        assert np.array_equal(read_pgm(str(out)), oracle_shear(read_pgm(image_file), "vertical", 1.96))
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--angle", "30", "--size", "-4"],
+        ["verify", "--angle", "30", "--size", "128"],  # beyond the netlist frame limit
+        ["audit", "--n-min", "0"],
+        ["audit", "--m-min", "3"],
+        ["audit", "--n-min", "5", "--n-max", "2"],
+    ])
+    def test_parameter_out_of_domain(self, argv):
+        assert invoke(argv) == EXIT_DOMAIN
 
     def test_verify_mismatch_exit_used_for_failures(self):
         # agreement always holds for this implementation; the code path is

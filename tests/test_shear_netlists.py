@@ -1,20 +1,24 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qimrot import shear_netlists
 from qimrot.arithmetic import FixedPointValue
 from qimrot.core import run
-from qimrot.neqr import PixelTerm, encode
+from qimrot.neqr import PixelTerm, decode, encode
+from qimrot.oracle import oracle_shear
 from qimrot.patterns import random_raster
 from qimrot.shear import RotationSpec, ShearSpec, apply_shear, rotate, shear_term
 from qimrot.shear_netlists import (
     MAX_NETLIST_EXPONENT,
+    NetlistBackend,
     NetlistModeError,
     build_shear_netlist,
-    netlist_apply_shear,
-    netlist_rotate,
     run_shear_phase,
 )
+
+NETLIST = NetlistBackend()
 
 
 def spec_for(axis, q16, sign, n):
@@ -75,7 +79,7 @@ def test_gate_path_matches_semantic_shears_random(q16, sign, y, x, vertical):
 def test_netlist_rotate_equals_semantic_rotate(theta):
     img = encode(random_raster(16, seed=11))
     a = rotate(img, RotationSpec(theta))
-    b = netlist_rotate(img, RotationSpec(theta))
+    b = rotate(img, RotationSpec(theta), backend=NETLIST)
     assert (a.final, a.phase1, a.phase2) == (b.final, b.phase1, b.phase2)
 
 
@@ -83,21 +87,73 @@ def test_netlist_apply_shear_equals_semantic():
     img = encode(random_raster(8, seed=12))
     for axis in ("horizontal", "vertical"):
         spec = ShearSpec.from_factor(axis, 0.7, 3)
-        assert netlist_apply_shear(img, spec) == apply_shear(img, spec)
+        assert apply_shear(img, spec, backend=NETLIST) == apply_shear(img, spec)
 
 
 @pytest.mark.parametrize("order", ["tb", "bt"])
 def test_half_order_does_not_change_results(order):
     img = encode(random_raster(16, seed=13))
-    base = netlist_rotate(img, RotationSpec(45), order="tb")
-    other = netlist_rotate(img, RotationSpec(45), order=order)
+    base = rotate(img, RotationSpec(45), backend=NetlistBackend("tb"))
+    other = rotate(img, RotationSpec(45), backend=NetlistBackend(order))
     assert base.final == other.final
 
 
 def test_size_limit_enforced():
     big = encode(random_raster(1 << (MAX_NETLIST_EXPONENT + 1), seed=1))
     with pytest.raises(NetlistModeError):
-        netlist_rotate(big, RotationSpec(30))
+        rotate(big, RotationSpec(30), backend=NETLIST)
+
+
+def _no_term_may_be_sheared(*args):
+    raise AssertionError("a term was sheared before the refusal")
+
+
+@pytest.mark.parametrize(
+    "side, factor, canvas",
+    [
+        (16, 0.5, "expand"),
+        (1 << (MAX_NETLIST_EXPONENT + 1), 0.5, "clip"),
+        (16, 2.0, "clip"),
+        (16, -1.97, "clip"),  # quantizes to 32 sixteenths
+    ],
+)
+def test_backend_refuses_before_any_term_is_sheared(monkeypatch, side, factor, canvas):
+    monkeypatch.setattr(shear_netlists, "run_shear_phase", _no_term_may_be_sheared)
+    img = encode(np.zeros((side, side), dtype=np.uint8))
+    with pytest.raises(NetlistModeError):
+        apply_shear(img, ShearSpec.from_factor("vertical", factor, img.n), canvas, NETLIST)
+    if abs(factor) < 1:  # rotation factors never exceed 1
+        with pytest.raises(NetlistModeError):
+            rotate(img, RotationSpec(30), canvas, NETLIST)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    vertical=st.booleans(),
+    factor=st.one_of(
+        st.floats(min_value=-3, max_value=3),
+        st.floats(min_value=-1e6, max_value=1e6),
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(n=4, vertical=False, factor=1.9375, seed=0)
+@example(n=4, vertical=True, factor=1.96, seed=0)
+@example(n=4, vertical=False, factor=2.0, seed=0)
+@example(n=4, vertical=True, factor=-2.5, seed=0)
+@example(n=4, vertical=False, factor=0.0, seed=0)
+def test_netlist_shear_matches_semantic_and_oracle_or_refuses(n, vertical, factor, seed):
+    axis = "vertical" if vertical else "horizontal"
+    raster = random_raster(1 << n, seed=seed)
+    img = encode(raster)
+    spec = ShearSpec.from_factor(axis, factor, n)
+    semantic = apply_shear(img, spec)
+    assert np.array_equal(decode(semantic), oracle_shear(raster, axis, factor))
+    if int(abs(factor) * 16 + 0.5) > 31:  # beyond the 5-bit factor register
+        with pytest.raises(NetlistModeError):
+            apply_shear(img, spec, backend=NETLIST)
+    else:
+        assert apply_shear(img, spec, backend=NETLIST) == semantic
 
 
 def test_out_of_frame_terms_rejected():
