@@ -16,14 +16,10 @@ from .arithmetic import (
 )
 from .audit import AuditRow, GateCostReport, audit_report, measure, predict
 from .core import (
-    BasisState,
     CircuitStructureError,
     Gate,
-    GateCost,
     Netlist,
     NetlistBuilder,
-    Wire,
-    concat,
     core_and_overhead_cost,
     cost,
     dump_netlist,

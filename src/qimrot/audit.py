@@ -30,10 +30,6 @@ from .shear_netlists import build_uniform_half_shear, build_uniform_horizontal_s
 WIDTH_KINDS = ("self_adder", "adder", "interpolation")
 #: Kinds priced by (n, m).
 GRID_KINDS = ("ctrl_multi", "top_half_shear", "full_horizontal_shear")
-#: The four elementary constructions; every row's delta gates the exit status.
-CORE_KINDS = ("self_adder", "adder", "interpolation", "ctrl_multi")
-
-ALL_KINDS = WIDTH_KINDS + GRID_KINDS
 
 
 def predict(kind: str, n: int, m: int | None = None) -> Fraction:
@@ -98,10 +94,6 @@ class AuditRow:
 @dataclass
 class GateCostReport:
     rows: list[AuditRow]
-
-    def core_mismatches(self) -> list[AuditRow]:
-        """Rows with nonzero delta among the four elementary constructions."""
-        return [r for r in self.rows if r.kind in CORE_KINDS and r.delta != 0]
 
     def mismatches(self) -> list[AuditRow]:
         return [r for r in self.rows if r.delta != 0]

@@ -26,6 +26,7 @@ from .shear import (
     RotationSpec,
     ShearSpec,
     apply_shear,
+    checked_phase_specs,
     exact_turn,
     rotate,
 )
@@ -112,16 +113,19 @@ def _cmd_shear(cfg: CommandConfig) -> int:
 
 
 def _cmd_verify(cfg: CommandConfig) -> int:
+    netlist = NetlistBackend(cfg.order)
     if cfg.input is not None:
         image = _load_image(cfg.input)
     else:
         side = cfg.size
-        if side < 1:
-            raise DomainError(f"--size must be positive, got {side}")
+        if side < 2 or side & (side - 1):
+            raise DomainError(f"--size must be a power of two of at least 2, got {side}")
+        # refuse what the netlist backend cannot run before the checkerboard is built
+        checked_phase_specs(RotationSpec(cfg.angle), side.bit_length() - 1, "clip", netlist)
         image = encode(patterns.checkerboard(side, tile=max(side // 8, 1)))
     spec = RotationSpec(cfg.angle)
     # netlist first: it refuses what it cannot run before the semantic engine works
-    gates = decode(rotate(image, spec, backend=NetlistBackend(cfg.order)).final)
+    gates = decode(rotate(image, spec, backend=netlist).final)
     semantic = decode(rotate(image, spec).final)
     reference = oracle_rotate(image.raster(), cfg.angle)
     ok = bool(np.array_equal(gates, semantic) and np.array_equal(semantic, reference))
@@ -165,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser, output: bool = True) -> None:
-        p.add_argument("--mode", choices=["semantic", "netlist"], default="semantic",
-                       help="semantic term arithmetic (default) or full gate execution")
         p.add_argument("--order", choices=["tb", "bt"], default="tb",
                        help="which half a netlist-mode phase processes first "
                             "(demonstration only; results are identical)")
@@ -201,6 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "horizontal, sin(angle) for vertical")
     shear.add_argument("--canvas", choices=["clip", "expand"], default="clip")
     add_common(shear)
+
+    for p in (rot, shear):
+        p.add_argument("--mode", choices=["semantic", "netlist"], default="semantic",
+                       help="semantic term arithmetic (default) or full gate execution")
 
     verify = sub.add_parser(
         "verify", help="check netlist mode == semantic mode == classical oracle"

@@ -4,7 +4,8 @@ Every gate supported here flips a single target bit when all of its controls
 match their polarity, so a netlist is a permutation of computational basis
 states.  That is the only semantics this package needs: the image circuits
 are basis permutations, and superposed inputs follow by linearity without
-ever materialising amplitudes.
+ever materialising amplitudes.  A wire is its index, and a basis state is a
+plain int whose bit ``i`` is wire ``i``.
 
 Cost accounting uses CNOT-equivalents: NOT and CNOT count 1, a Toffoli counts
 6, and each control-on-0 polarity adds 2 (one basis flip before and one
@@ -29,14 +30,6 @@ POLARITY_SURCHARGE = 2
 
 class CircuitStructureError(ValueError):
     """A netlist, gate, or basis state is structurally malformed."""
-
-
-@dataclass(frozen=True)
-class Wire:
-    """A single wire: an opaque index plus a human-readable label."""
-
-    id: int
-    label: str
 
 
 @dataclass(frozen=True)
@@ -79,29 +72,8 @@ class Gate:
         return self.base_cost + surcharge
 
 
-@dataclass(frozen=True)
-class GateCost:
-    cnot_equivalents: int
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """A total bit assignment over a netlist's wires, packed into an int.
-
-    Wire ``i`` holds bit ``(bits >> i) & 1``.
-    """
-
-    bits: int
-    width: int
-
-    def bit(self, wire: int) -> int:
-        if not 0 <= wire < self.width:
-            raise CircuitStructureError(f"wire {wire} outside state of width {self.width}")
-        return (self.bits >> wire) & 1
-
-
 class Netlist:
-    """An ordered gate list over a wire table, with named registers.
+    """An ordered gate list over labelled wires, with named registers.
 
     Immutable after construction.  Register wire lists are least significant
     bit first.  ``ancillas`` names registers that must enter and leave every
@@ -110,12 +82,12 @@ class Netlist:
 
     def __init__(
         self,
-        wires: tuple[Wire, ...],
+        labels: tuple[str, ...],
         gates: tuple[Gate, ...],
         registers: dict[str, tuple[int, ...]],
         ancillas: frozenset[str] = frozenset(),
     ) -> None:
-        self.wires = tuple(wires)
+        self.labels = tuple(labels)
         self.gates = tuple(gates)
         self.registers = dict(registers)
         self.ancillas = frozenset(ancillas)
@@ -123,10 +95,7 @@ class Netlist:
         self._validate()
 
     def _validate(self) -> None:
-        for i, wire in enumerate(self.wires):
-            if wire.id != i:
-                raise CircuitStructureError("wire ids must match table positions")
-        n = len(self.wires)
+        n = len(self.labels)
         for gate in self.gates:
             if not 0 <= gate.target < n:
                 raise CircuitStructureError(f"gate target {gate.target} outside wire table")
@@ -145,7 +114,7 @@ class Netlist:
         if not isinstance(other, Netlist):
             return NotImplemented
         return (
-            self.wires == other.wires
+            self.labels == other.labels
             and self.gates == other.gates
             and self.registers == other.registers
             and self.ancillas == other.ancillas
@@ -155,13 +124,13 @@ class Netlist:
 
     def __repr__(self) -> str:
         return (
-            f"Netlist({len(self.wires)} wires, {len(self.gates)} gates, "
+            f"Netlist({len(self.labels)} wires, {len(self.gates)} gates, "
             f"registers={list(self.registers)})"
         )
 
     @property
     def num_wires(self) -> int:
-        return len(self.wires)
+        return len(self.labels)
 
     @property
     def compiled(self) -> list[tuple[int, int, int]]:
@@ -179,7 +148,7 @@ class Netlist:
             self._compiled = comp
         return self._compiled
 
-    def state(self, **register_values: int) -> BasisState:
+    def state(self, **register_values: int) -> int:
         """Build a basis state from register values; unnamed registers are zero."""
         bits = 0
         for name, value in register_values.items():
@@ -192,43 +161,41 @@ class Netlist:
                 )
             for k, wire in enumerate(ids):
                 bits |= ((value >> k) & 1) << wire
-        return BasisState(bits, self.num_wires)
+        return bits
 
-    def register_value(self, state: BasisState, name: str) -> int:
-        ids = self.registers[name]
+    def register_value(self, state: int, name: str) -> int:
         value = 0
-        for k, wire in enumerate(ids):
-            value |= ((state.bits >> wire) & 1) << k
+        for k, wire in enumerate(self.registers[name]):
+            value |= ((state >> wire) & 1) << k
         return value
 
 
-def execute(netlist: Netlist, state: BasisState) -> BasisState:
+def execute(netlist: Netlist, state: int) -> int:
     """Apply the gate sequence to a basis state and return the image state."""
-    if state.width != netlist.num_wires:
+    if not 0 <= state < 1 << netlist.num_wires:
         raise CircuitStructureError(
-            f"state width {state.width} != netlist width {netlist.num_wires}"
+            f"basis state {state} outside a {netlist.num_wires}-wire netlist"
         )
-    bits = state.bits
     for m1, m0, flip in netlist.compiled:
-        if bits & m1 == m1 and not bits & m0:
-            bits ^= flip
-    return BasisState(bits, state.width)
+        if state & m1 == m1 and not state & m0:
+            state ^= flip
+    return state
 
 
 def invert(netlist: Netlist) -> Netlist:
     """Reverse the gate order.  Every primitive is self-inverse, so the
     result undoes the original: execute(invert(N), execute(N, s)) == s."""
     return Netlist(
-        netlist.wires,
+        netlist.labels,
         tuple(reversed(netlist.gates)),
         netlist.registers,
         netlist.ancillas,
     )
 
 
-def cost(netlist: Netlist) -> GateCost:
+def cost(netlist: Netlist) -> int:
     """Total CNOT-equivalent count, polarity surcharges included."""
-    return GateCost(sum(g.cnot_equivalents for g in netlist.gates))
+    return sum(g.cnot_equivalents for g in netlist.gates)
 
 
 def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
@@ -249,24 +216,12 @@ def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
     return core, overhead
 
 
-def concat(first: Netlist, second: Netlist) -> Netlist:
-    """Concatenate two netlists over the same wire table."""
-    if first.wires != second.wires or first.registers != second.registers:
-        raise CircuitStructureError("can only concatenate netlists over the same wires")
-    return Netlist(
-        first.wires,
-        first.gates + second.gates,
-        first.registers,
-        first.ancillas | second.ancillas,
-    )
-
-
 def dump_netlist(netlist: Netlist) -> str:
     """Textual dump, one gate per line: KIND target controls.
 
     Controls carry a ``!`` prefix when they fire on \\|0>.
     """
-    labels = [w.label for w in netlist.wires]
+    labels = netlist.labels
     lines = []
     for gate in netlist.gates:
         parts = [gate.kind, labels[gate.target]]
@@ -286,7 +241,7 @@ class NetlistBuilder:
     """Incremental netlist construction with named, contiguous registers."""
 
     def __init__(self) -> None:
-        self._wires: list[Wire] = []
+        self._labels: list[str] = []
         self._gates: list[Gate] = []
         self._registers: dict[str, tuple[int, ...]] = {}
         self._ancillas: set[str] = set()
@@ -297,10 +252,9 @@ class NetlistBuilder:
             raise CircuitStructureError(f"register {name!r} already declared")
         if width < 1:
             raise ValueError(f"register width must be positive, got {width}")
-        start = len(self._wires)
+        start = len(self._labels)
         ids = list(range(start, start + width))
-        for k, wire in enumerate(ids):
-            self._wires.append(Wire(wire, f"{name}[{k}]"))
+        self._labels.extend(f"{name}[{k}]" for k in range(width))
         self._registers[name] = tuple(ids)
         if ancilla:
             self._ancillas.add(name)
@@ -352,7 +306,7 @@ class NetlistBuilder:
 
     def build(self) -> Netlist:
         return Netlist(
-            tuple(self._wires),
+            tuple(self._labels),
             tuple(self._gates),
             dict(self._registers),
             frozenset(self._ancillas),

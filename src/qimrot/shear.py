@@ -239,6 +239,16 @@ def apply_shear(
     return _materialize(sheared, image.n, canvas)
 
 
+def checked_phase_specs(
+    spec: RotationSpec, n: int, canvas: str, backend: PhaseBackend
+) -> tuple[ShearSpec, ShearSpec, ShearSpec]:
+    """The three phase specs for a 2^n frame, each vetted by the backend."""
+    phase_specs = spec.phase_specs(n)
+    for phase in phase_specs:
+        backend.check(phase, canvas)
+    return phase_specs
+
+
 def rotate(
     image: NEQRImage, spec: RotationSpec, canvas: str = "clip", backend: PhaseBackend = SEMANTIC
 ) -> RotationResult:
@@ -250,9 +260,7 @@ def rotate(
     the 2^(n+2) frame.  The backend vets all three phases before the first
     one runs.
     """
-    phase_specs = spec.phase_specs(image.n)
-    for phase in phase_specs:
-        backend.check(phase, canvas)
+    phase_specs = checked_phase_specs(spec, image.n, canvas, backend)
     terms = list(image.terms())
     snapshots = []
     for phase in phase_specs:

@@ -34,7 +34,7 @@ from .arithmetic import (
     emit_interpolation,
     emit_modular_adder,
 )
-from .core import Netlist, NetlistBuilder
+from .core import Netlist, NetlistBuilder, execute
 from .neqr import PixelTerm
 from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
 
@@ -64,6 +64,23 @@ def _halves(axis: str, order: str) -> tuple[str, str]:
     return (low, high) if first_low else (high, low)
 
 
+def _emit_offset(
+    nb: NetlistBuilder, coord: list[int], med: list[int], carry: list[int], n: int, low_half: bool
+) -> list[int]:
+    """Subtract to get offset = |coordinate - median|; return the register holding it."""
+    s = nb.mark()
+    if low_half:
+        # offset = median - coordinate, left in the median register
+        emit_adder(nb, coord[:n], med, carry[:n])
+        offset_reg = med
+    else:
+        # offset = coordinate - median, left in the coordinate register
+        emit_adder(nb, med[:n], coord[: n + 1], carry[:n])
+        offset_reg = coord[: n + 1]
+    nb.reverse_tail(s)
+    return offset_reg
+
+
 def _emit_image_half(
     nb: NetlistBuilder, regs: dict, n: int, axis: str, half: str, sign: int
 ) -> None:
@@ -77,18 +94,7 @@ def _emit_image_half(
     with nb.overhead():
         nb.cx(driver[n - 1], ctrl, on=polarity)
     start = nb.mark()
-    if low_half:
-        # offset = median - coordinate, left in the median register
-        s = nb.mark()
-        emit_adder(nb, driver[:n], regs["med"], carry[:n])
-        nb.reverse_tail(s)
-        offset_reg = regs["med"]
-    else:
-        # offset = coordinate - median, left in the coordinate register
-        s = nb.mark()
-        emit_adder(nb, regs["med"][:n], driver[: n + 1], carry[:n])
-        nb.reverse_tail(s)
-        offset_reg = driver[: n + 1]
+    offset_reg = _emit_offset(nb, driver, regs["med"], carry, n, low_half)
     emit_ctrl_multi(
         nb,
         regs["q"],
@@ -169,34 +175,22 @@ def run_shear_phase(
     """
     netlist = build_shear_netlist(n, spec.axis, spec.sign, order)
     side = 1 << n
-    compiled = netlist.compiled
-    regs = netlist.registers
-    y0, x0 = regs["y"][0], regs["x"][0]
-    width = len(regs["y"])
-    mask = (1 << width) - 1
-    sign_bit = 1 << (width - 1)
-    preload = (spec.factor.sixteenths << regs["q"][0]) | (spec.median << regs["med"][0])
     moved_is_x = spec.axis == HORIZONTAL
+    width = n + COORD_EXTRA_BITS
+    preload = netlist.state(q=spec.factor.sixteenths, med=spec.median)
     out: list[PixelTerm] = []
     for term in terms:
         if not (0 <= term.y < side and 0 <= term.x < side):
             raise NetlistModeError(
                 f"netlist execution needs in-frame terms, got ({term.y}, {term.x})"
             )
-        bits = preload | (term.y << y0) | (term.x << x0)
-        for m1, m0, flip in compiled:
-            if bits & m1 == m1 and not bits & m0:
-                bits ^= flip
-        y = (bits >> y0) & mask
-        x = (bits >> x0) & mask
-        if y & sign_bit:
-            y -= 1 << width
-        if x & sign_bit:
-            x -= 1 << width
+        state = preload | netlist.state(y=term.y, x=term.x)
+        moved = netlist.register_value(execute(netlist, state), "x" if moved_is_x else "y")
+        moved -= (moved >> (width - 1)) << width  # two's complement
         if moved_is_x:
-            out.append(PixelTerm(term.y, x, term.color))
+            out.append(PixelTerm(term.y, moved, term.color))
         else:
-            out.append(PixelTerm(y, term.x, term.color))
+            out.append(PixelTerm(moved, term.x, term.color))
     return out
 
 
@@ -244,16 +238,7 @@ def _emit_uniform_half(nb: NetlistBuilder, regs: dict, n: int, half: str) -> Non
     with nb.overhead():
         nb.cx(y[n - 1], ctrl, on=polarity)
     start = nb.mark()
-    if low_half:
-        s = nb.mark()
-        emit_adder(nb, y[:n], regs["med"], carry[:n])
-        nb.reverse_tail(s)
-        offset_reg = regs["med"]
-    else:
-        s = nb.mark()
-        emit_adder(nb, regs["med"][:n], y[: n + 1], carry[:n])
-        nb.reverse_tail(s)
-        offset_reg = y[: n + 1]
+    offset_reg = _emit_offset(nb, y, regs["med"], carry, n, low_half)
     emit_ctrl_multi(
         nb,
         offset_reg[:n],

@@ -20,7 +20,7 @@ from qimrot.arithmetic import (
     eval_semantic,
 )
 from qimrot.audit import measure, predict
-from qimrot.core import BasisState, execute, invert, run
+from qimrot.core import execute, invert, run
 from qimrot.neqr import PixelTerm, decode, encode
 from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate
 from qimrot.patterns import checkerboard, gradient, random_raster
@@ -172,7 +172,7 @@ def test_criterion_5_properties():
     ]
     for _ in range(100):
         netlist = rng.choice(builders)()
-        state = BasisState(rng.randrange(1 << netlist.num_wires), netlist.num_wires)
+        state = rng.randrange(1 << netlist.num_wires)
         assert execute(invert(netlist), execute(netlist, state)) == state
 
     # rigid per-line shifts and injectivity before clipping

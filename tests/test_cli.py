@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qimrot import cli
 from qimrot.cli import (
     EXIT_DOMAIN,
     EXIT_FORMAT,
@@ -183,6 +184,19 @@ class TestErrorExits:
     ])
     def test_parameter_out_of_domain(self, argv):
         assert invoke(argv) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("size", ["128", "12", "3"])
+    def test_verify_size_refused_before_the_image_is_built(self, monkeypatch, size):
+        def no_checkerboard(*args, **kwargs):
+            raise AssertionError("checkerboard built before the refusal")
+
+        monkeypatch.setattr(cli.patterns, "checkerboard", no_checkerboard)
+        assert invoke(["verify", "--angle", "30", "--size", size]) == EXIT_DOMAIN
+
+    def test_verify_has_no_mode_option(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["verify", "--angle", "30", "--mode", "netlist"])
+        assert exc.value.code == 2
 
     def test_verify_mismatch_exit_used_for_failures(self):
         # agreement always holds for this implementation; the code path is

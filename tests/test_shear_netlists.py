@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from qimrot import shear_netlists
 from qimrot.arithmetic import FixedPointValue
-from qimrot.core import run
+from qimrot.audit import audit_report
+from qimrot.core import dump_netlist, run
 from qimrot.neqr import PixelTerm, decode, encode
 from qimrot.oracle import oracle_shear
 from qimrot.patterns import random_raster
@@ -165,4 +168,20 @@ def test_out_of_frame_terms_rejected():
 def test_netlists_are_cached_per_parameters():
     assert build_shear_netlist(3, "horizontal", 1) is build_shear_netlist(
         3, "horizontal", 1
+    )
+
+
+def test_netlist_dumps_registers_and_audit_csv_are_pinned():
+    # digest of the outputs that must stay bit-identical across refactors
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for axis in ("horizontal", "vertical"):
+            for sign in (1, -1):
+                for order in ("tb", "bt"):
+                    netlist = build_shear_netlist(n, axis, sign, order)
+                    digest.update(dump_netlist(netlist).encode())
+                    digest.update(repr(sorted(netlist.registers.items())).encode())
+    digest.update(audit_report().to_csv().encode())
+    assert digest.hexdigest() == (
+        "3629a5484f22a8ff01034925a438b2b15dde3e5751bd2e3257501e0bc1f756ca"
     )
