@@ -4,7 +4,7 @@
 Writes, for every angle, the input, both intermediate shear frames, and the
 rotated result as PGM files, then cross-checks each result against the
 classical oracle and reports the agreement with an ideal real-arithmetic
-rotation.
+rotation.  Exits 1 if any angle's result differs from the oracle.
 """
 import argparse
 import os
@@ -21,7 +21,7 @@ from qimrot.pgm import write_pgm
 from qimrot.shear import RotationSpec, rotate
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="demo_out")
     parser.add_argument("--side", type=int, default=64)
@@ -37,6 +37,7 @@ def main() -> None:
     write_pgm(os.path.join(args.outdir, "input.pgm"), raster)
     image = encode(raster)
 
+    all_match = True
     for theta in args.angles:
         result = rotate(image, RotationSpec(theta))
         tag = f"{theta:+.0f}".replace("+", "p").replace("-", "m")
@@ -44,12 +45,14 @@ def main() -> None:
                             ("rotated", result.final)):
             write_pgm(os.path.join(args.outdir, f"{tag}_{name}.pgm"), decode(frame))
         matches = np.array_equal(decode(result.final), oracle_rotate(raster, theta))
+        all_match = all_match and matches
         ideal = ideal_rotate(raster, theta)
         agree = agreement_fraction(decode(result.final), ideal)
         print(f"theta {theta:+6.1f}: oracle match {'yes' if matches else 'NO'}; "
               f"ideal-rotation agreement {agree:.4f}")
     print(f"frames written to {args.outdir}/")
+    return 0 if all_match else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -39,7 +39,6 @@ from .pgm import read_pgm, write_pgm
 from .shear import (
     SEMANTIC,
     DomainError,
-    HalfRoutingError,
     PhaseBackend,
     RotationResult,
     RotationSpec,
@@ -51,11 +50,7 @@ from .shear import (
     exact_turn,
     expanded_canvas_params,
     rotate,
-    shear_bottom_half,
-    shear_left_half,
-    shear_right_half,
     shear_term,
-    shear_top_half,
 )
 from .shear_netlists import (
     MAX_NETLIST_EXPONENT,

@@ -62,22 +62,16 @@ __all__ = [
 class FixedPointValue:
     """An unsigned fixed-point number with exactly four fraction bits.
 
-    Value = integer_part + fraction_sixteenths / 16.  Any sign is carried by
-    the consumer (shear specs choose adder vs subtractor), never here.
+    Held as a whole number of sixteenths: value = sixteenths / 16.  Any sign
+    is carried by the consumer (shear specs choose adder vs subtractor),
+    never here.
     """
 
-    integer_part: int
-    fraction_sixteenths: int
+    sixteenths: int
 
     def __post_init__(self) -> None:
-        if self.integer_part < 0:
-            raise ValueError("integer part must be non-negative")
-        if not 0 <= self.fraction_sixteenths < 16:
-            raise ValueError("fraction must be 0..15 sixteenths")
-
-    @property
-    def sixteenths(self) -> int:
-        return 16 * self.integer_part + self.fraction_sixteenths
+        if self.sixteenths < 0:
+            raise ValueError("fixed-point value must be non-negative")
 
     @property
     def value(self) -> Fraction:
@@ -88,8 +82,7 @@ class FixedPointValue:
         """Round a non-negative real to the nearest sixteenth, ties upward."""
         if real < 0:
             raise ValueError("quantize takes a magnitude; track sign separately")
-        total = int(real * 16 + 0.5)
-        return cls(total // 16, total % 16)
+        return cls(int(real * 16 + 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .arithmetic import (
     build_interpolation,
     build_self_adder,
 )
-from .core import Netlist, core_and_overhead_cost
+from .core import core_and_overhead_cost
 from .shear_netlists import build_uniform_half_shear, build_uniform_horizontal_shear
 
 #: Kinds priced by a single width n.
@@ -31,50 +31,43 @@ WIDTH_KINDS = ("self_adder", "adder", "interpolation")
 #: Kinds priced by (n, m).
 GRID_KINDS = ("ctrl_multi", "top_half_shear", "full_horizontal_shear")
 
+#: kind -> (closed form, builder), each called with (n, m); width kinds ignore
+#: m.  Builders are looked up by name per call, so a wrapped module attribute
+#: (a profiler's, say) is the one called.
+_KINDS = {
+    "self_adder": (lambda n, m: Fraction(n), lambda n, m: build_self_adder(n)),
+    "adder": (lambda n, m: Fraction(28 * n - 12), lambda n, m: build_adder(n)),
+    "interpolation": (lambda n, m: Fraction(28 * n - 11), lambda n, m: build_interpolation(n)),
+    "ctrl_multi": (lambda n, m: Fraction(29, 2) * n * (n + 2 * m - 1),
+                   lambda n, m: build_ctrl_multi(n, m)),
+    "top_half_shear": (lambda n, m: (Fraction(29, 2) * n + 29 * m + Fraction(139, 2)) * n - 35,
+                       lambda n, m: build_uniform_half_shear(n, m, "top")),
+    "full_horizontal_shear": (lambda n, m: Fraction(29 * n * n + 58 * m * n + 139 * n - 70),
+                              lambda n, m: build_uniform_horizontal_shear(n, m)),
+}
+
+
+def _kind(kind: str, n: int, m: int | None) -> tuple:
+    """The (closed form, builder) pair of a kind, after checking its widths."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown circuit kind {kind!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if kind in GRID_KINDS and m is None:
+        raise ValueError(f"{kind} needs the factor width m")
+    return _KINDS[kind]
+
 
 def predict(kind: str, n: int, m: int | None = None) -> Fraction:
     """Exact rational evaluation of the closed form for one construction."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if kind == "self_adder":
-        return Fraction(n)
-    if kind == "adder":
-        return Fraction(28 * n - 12)
-    if kind == "interpolation":
-        return Fraction(28 * n - 11)
-    if kind in GRID_KINDS:
-        if m is None:
-            raise ValueError(f"{kind} needs the factor width m")
-        if kind == "ctrl_multi":
-            return Fraction(29, 2) * n * (n + 2 * m - 1)
-        if kind == "top_half_shear":
-            return (Fraction(29, 2) * n + 29 * m + Fraction(139, 2)) * n - 35
-        return Fraction(29 * n * n + 58 * m * n + 139 * n - 70)
-    raise ValueError(f"unknown circuit kind {kind!r}")
-
-
-def _build(kind: str, n: int, m: int | None) -> Netlist:
-    if kind == "self_adder":
-        return build_self_adder(n)
-    if kind == "adder":
-        return build_adder(n)
-    if kind == "interpolation":
-        return build_interpolation(n)
-    assert m is not None
-    if kind == "ctrl_multi":
-        return build_ctrl_multi(n, m)
-    if kind == "top_half_shear":
-        return build_uniform_half_shear(n, m, "top")
-    if kind == "full_horizontal_shear":
-        return build_uniform_horizontal_shear(n, m)
-    raise ValueError(f"unknown circuit kind {kind!r}")
+    closed_form, _ = _kind(kind, n, m)
+    return closed_form(n, m)
 
 
 def measure(kind: str, n: int, m: int | None = None) -> tuple[int, int]:
     """Build the netlist and return (measured core, overhead) counts."""
-    if kind in GRID_KINDS and m is None:
-        raise ValueError(f"{kind} needs the factor width m")
-    return core_and_overhead_cost(_build(kind, n, m))
+    _, build = _kind(kind, n, m)
+    return core_and_overhead_cost(build(n, m))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .neqr import ImageFormatError, NEQRImage, encode, decode
 from .oracle import agreement_fraction, ideal_rotate, oracle_rotate
 from .pgm import read_pgm, write_pgm
 from .shear import (
-    HORIZONTAL,
     SEMANTIC,
     DomainError,
     PhaseBackend,
@@ -103,10 +102,8 @@ def _cmd_shear(cfg: CommandConfig) -> int:
     image = _load_image(cfg.input)
     if cfg.factor is not None:
         spec = ShearSpec.from_factor(cfg.axis, cfg.factor, image.n)
-    elif cfg.axis == HORIZONTAL:
-        spec = ShearSpec.horizontal_for_angle(cfg.angle, image.n)
     else:
-        spec = ShearSpec.vertical_for_angle(cfg.angle, image.n)
+        spec = ShearSpec.for_angle(cfg.axis, cfg.angle, image.n)
     sheared = apply_shear(image, spec, cfg.canvas, _backend(cfg))
     _write_raster(cfg.output, decode(sheared), cfg.ascii_output)
     return EXIT_OK

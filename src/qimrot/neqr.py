@@ -55,9 +55,6 @@ class NEQRImage:
     def side(self) -> int:
         return 1 << self.n
 
-    def pixel(self, y: int, x: int) -> int:
-        return int(self._raster[y, x])
-
     def terms(self) -> Iterator[PixelTerm]:
         """Iterate the 4^n basis terms in row-major order."""
         for y in range(self.side):

@@ -54,10 +54,6 @@ class UnsupportedAngleError(DomainError):
     """Rotation angle outside the supported open interval (-90, 90)."""
 
 
-class HalfRoutingError(ValueError):
-    """A term was routed to the shear for the wrong image half."""
-
-
 @dataclass(frozen=True)
 class ShearSpec:
     """One axis shear: quantized factor magnitude, direction sign, frame size."""
@@ -86,14 +82,11 @@ class ShearSpec:
         return cls(axis, FixedPointValue.quantize(abs(factor)), sign, n)
 
     @classmethod
-    def horizontal_for_angle(cls, theta_degrees: float, n: int) -> "ShearSpec":
+    def for_angle(cls, axis: str, theta_degrees: float, n: int) -> "ShearSpec":
+        """A rotation's phase shear: tan(theta/2) horizontal, sin(theta) vertical."""
         theta = math.radians(_finite(theta_degrees, "angle"))
-        return cls.from_factor(HORIZONTAL, math.tan(theta / 2), n)
-
-    @classmethod
-    def vertical_for_angle(cls, theta_degrees: float, n: int) -> "ShearSpec":
-        theta = math.radians(_finite(theta_degrees, "angle"))
-        return cls.from_factor(VERTICAL, math.sin(theta), n)
+        factor = math.tan(theta / 2) if axis == HORIZONTAL else math.sin(theta)
+        return cls.from_factor(axis, factor, n)
 
 
 def _finite(value: float, what: str) -> float:
@@ -116,8 +109,8 @@ class RotationSpec:
 
     def phase_specs(self, n: int) -> tuple[ShearSpec, ShearSpec, ShearSpec]:
         """Horizontal, vertical, horizontal shear specs for a 2^n frame."""
-        horizontal = ShearSpec.horizontal_for_angle(self.theta_degrees, n)
-        vertical = ShearSpec.vertical_for_angle(self.theta_degrees, n)
+        horizontal = ShearSpec.for_angle(HORIZONTAL, self.theta_degrees, n)
+        vertical = ShearSpec.for_angle(VERTICAL, self.theta_degrees, n)
         return horizontal, vertical, horizontal
 
 
@@ -137,52 +130,22 @@ def displacement(offset: int, factor: FixedPointValue) -> int:
     return (offset * factor.sixteenths + 8) // 16
 
 
-def shear_top_half(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
-    """Displace one top-half term along x; y and color unchanged."""
-    if spec.axis != HORIZONTAL:
-        raise HalfRoutingError("top/bottom shears are horizontal")
-    if term.y >= spec.median:
-        raise HalfRoutingError(f"term row {term.y} is not in the top half")
-    d = displacement(spec.median - term.y, spec.factor)
-    return PixelTerm(term.y, term.x - spec.sign * d, term.color)
-
-
-def shear_bottom_half(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
-    if spec.axis != HORIZONTAL:
-        raise HalfRoutingError("top/bottom shears are horizontal")
-    if term.y < spec.median:
-        raise HalfRoutingError(f"term row {term.y} is not in the bottom half")
-    d = displacement(term.y - spec.median, spec.factor)
-    return PixelTerm(term.y, term.x + spec.sign * d, term.color)
-
-
-def shear_left_half(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
-    if spec.axis != VERTICAL:
-        raise HalfRoutingError("left/right shears are vertical")
-    if term.x >= spec.median:
-        raise HalfRoutingError(f"term column {term.x} is not in the left half")
-    d = displacement(spec.median - term.x, spec.factor)
-    return PixelTerm(term.y + spec.sign * d, term.x, term.color)
-
-
-def shear_right_half(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
-    if spec.axis != VERTICAL:
-        raise HalfRoutingError("left/right shears are vertical")
-    if term.x < spec.median:
-        raise HalfRoutingError(f"term column {term.x} is not in the right half")
-    d = displacement(term.x - spec.median, spec.factor)
-    return PixelTerm(term.y - spec.sign * d, term.x, term.color)
-
-
 def shear_term(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
-    """Route a term to its half's shear by comparing against the median."""
-    if spec.axis == HORIZONTAL:
-        if term.y < spec.median:
-            return shear_top_half(term, spec)
-        return shear_bottom_half(term, spec)
-    if term.x < spec.median:
-        return shear_left_half(term, spec)
-    return shear_right_half(term, spec)
+    """Apply the module docstring's four half equations as one rule.
+
+    The driver coordinate (y for a horizontal shear, x for a vertical one)
+    picks the half by the sign of its offset from the median; the moved
+    coordinate (x, respectively y) shifts by the displacement of that
+    offset's magnitude, in the direction set by the half and the factor's
+    sign.
+    """
+    horizontal = spec.axis == HORIZONTAL
+    offset = (term.y if horizontal else term.x) - spec.median
+    d = displacement(abs(offset), spec.factor)
+    step = spec.sign * d if offset >= 0 else -spec.sign * d
+    if horizontal:
+        return PixelTerm(term.y, term.x + step, term.color)
+    return PixelTerm(term.y - step, term.x, term.color)
 
 
 class PhaseBackend(Protocol):

@@ -5,8 +5,11 @@ All comparisons are bit-exact; gate-count comparisons carry zero tolerance.
 """
 import functools
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -111,7 +114,7 @@ def test_criterion_2_worked_examples():
     assert run(build_self_adder(3), x=0b110)["out"] == 0b1100
     assert run(build_ctrl_multi(4, 5), a=0b10101, x=0b1011, ctrl=1)["p"] == 0b11100111
     assert run(build_interpolation(4), a=0b1010, frac=0b1010)["a"] == 0b1011
-    spec = ShearSpec("horizontal", FixedPointValue(1, 0), 1, 2)
+    spec = ShearSpec("horizontal", FixedPointValue(16), 1, 2)
     displacements = [abs(shear_term(PixelTerm(y, 2, 1), spec).x - 2) for y in range(4)]
     assert displacements == [2, 1, 0, 1]
 
@@ -182,7 +185,7 @@ def test_criterion_5_properties():
         q16 = rng.randrange(17)
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
-        spec = ShearSpec(axis, FixedPointValue(q16 // 16, q16 % 16), sign, n)
+        spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
         landed = set()
         shifts = {}
         for y in range(side):
@@ -201,7 +204,7 @@ def test_criterion_5_properties():
         q16 = rng.randrange(17)
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
-        spec = ShearSpec(axis, FixedPointValue(q16 // 16, q16 % 16), sign, n)
+        spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
         terms = [
             PixelTerm(rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(256))
             for _ in range(8)
@@ -232,7 +235,7 @@ def test_criterion_6_no_blocking_or_blurring():
         q16 = rng.randrange(17)
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
-        spec = ShearSpec(axis, FixedPointValue(q16 // 16, q16 % 16), sign, n)
+        spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
         out = decode(apply_shear(encode(raster), spec))
         for line in range(side):
             if axis == "horizontal":
@@ -253,3 +256,15 @@ def test_criterion_6_no_blocking_or_blurring():
     fraction = agreement_fraction(sheared, ideal_rotate(raster, 45))
     print(f"\n  info: ideal-rotation agreement at 45 deg, 64x64 checkerboard: "
           f"{fraction:.4f}")
+
+
+@criterion(7, "the paper's 30/45/60 degree demo matches the oracle")
+def test_criterion_7_rotation_demo(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_rotation_demo.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--side", "16", "--outdir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("oracle match yes") == 3, proc.stdout
+    assert len(list(tmp_path.glob("*.pgm"))) == 10  # input + 3 angles x 3 frames

@@ -186,7 +186,7 @@ class TestEvalSemantic:
 
 class TestFixedPointValue:
     def test_value_formula(self):
-        v = FixedPointValue(1, 5)
+        v = FixedPointValue(21)
         assert v.sixteenths == 21
         assert float(v.value) == 21 / 16
 
@@ -207,6 +207,4 @@ class TestFixedPointValue:
         with pytest.raises(ValueError):
             FixedPointValue.quantize(-0.5)
         with pytest.raises(ValueError):
-            FixedPointValue(-1, 0)
-        with pytest.raises(ValueError):
-            FixedPointValue(0, 16)
+            FixedPointValue(-1)

@@ -2,15 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimrot.arithmetic import FixedPointValue
 from qimrot.neqr import PixelTerm, decode, encode
+from qimrot.oracle import rotation_coordinate_map
 from qimrot.patterns import random_raster, row_bands
 from qimrot.shear import (
-    HalfRoutingError,
     RotationSpec,
     ShearSpec,
     UnsupportedAngleError,
@@ -19,20 +19,16 @@ from qimrot.shear import (
     exact_turn,
     expanded_canvas_params,
     rotate,
-    shear_bottom_half,
-    shear_left_half,
-    shear_right_half,
     shear_term,
-    shear_top_half,
 )
 
 
 def hspec(q16, n, sign=1):
-    return ShearSpec("horizontal", FixedPointValue(q16 // 16, q16 % 16), sign, n)
+    return ShearSpec("horizontal", FixedPointValue(q16), sign, n)
 
 
 def vspec(q16, n, sign=1):
-    return ShearSpec("vertical", FixedPointValue(q16 // 16, q16 % 16), sign, n)
+    return ShearSpec("vertical", FixedPointValue(q16), sign, n)
 
 
 class TestHalfShears:
@@ -51,61 +47,49 @@ class TestHalfShears:
 
     def test_8x8_30_degree_top_row(self):
         # q = round(tan 15deg * 16)/16 = 4/16; offset 4 gives round(4 * 4/16) = 1
-        spec = ShearSpec.horizontal_for_angle(30, 3)
+        spec = ShearSpec.for_angle("horizontal", 30, 3)
         assert spec.factor.sixteenths == 4
-        out = shear_top_half(PixelTerm(0, 5, 1), spec)
+        out = shear_term(PixelTerm(0, 5, 1), spec)
         assert out.x == 5 - 1
 
     def test_bottom_reference_row_fixed(self):
         spec = hspec(16, 3)
-        assert shear_bottom_half(PixelTerm(4, 6, 1), spec).x == 6
+        assert shear_term(PixelTerm(4, 6, 1), spec).x == 6
 
     def test_8x8_factor_one_bottom_rows_shift_rigidly(self):
         # at q = 1 every bottom row y moves right by exactly y - 4
         spec = hspec(16, 3)
         for y in range(4, 8):
             for x in range(8):
-                assert shear_bottom_half(PixelTerm(y, x, 1), spec).x == x + (y - 4)
+                assert shear_term(PixelTerm(y, x, 1), spec).x == x + (y - 4)
 
     def test_8x8_vertical_30_degree_left_column(self):
         # q = round(sin 30deg * 16)/16 = 8/16; offset 4 gives round(4 * 0.5) = 2
-        spec = ShearSpec.vertical_for_angle(30, 3)
+        spec = ShearSpec.for_angle("vertical", 30, 3)
         assert spec.factor.sixteenths == 8
-        assert shear_left_half(PixelTerm(1, 0, 1), spec).y == 1 + 2
+        assert shear_term(PixelTerm(1, 0, 1), spec).y == 1 + 2
 
     def test_4x4_vertical_factor_one_column_displacements(self):
         spec = vspec(16, 2)
-        assert shear_left_half(PixelTerm(1, 0, 1), spec).y == 1 + 2
-        assert shear_left_half(PixelTerm(1, 1, 1), spec).y == 1 + 1
-        assert shear_right_half(PixelTerm(1, 2, 1), spec).y == 1
-        assert shear_right_half(PixelTerm(1, 3, 1), spec).y == 1 - 1
+        assert shear_term(PixelTerm(1, 0, 1), spec).y == 1 + 2
+        assert shear_term(PixelTerm(1, 1, 1), spec).y == 1 + 1
+        assert shear_term(PixelTerm(1, 2, 1), spec).y == 1
+        assert shear_term(PixelTerm(1, 3, 1), spec).y == 1 - 1
 
     def test_reference_column_fixed(self):
         spec = vspec(16, 2)
-        assert shear_right_half(PixelTerm(3, 2, 1), spec).y == 3
-
-    def test_routing_errors(self):
-        with pytest.raises(HalfRoutingError):
-            shear_top_half(PixelTerm(3, 0, 1), hspec(8, 2))
-        with pytest.raises(HalfRoutingError):
-            shear_bottom_half(PixelTerm(0, 0, 1), hspec(8, 2))
-        with pytest.raises(HalfRoutingError):
-            shear_left_half(PixelTerm(0, 2, 1), vspec(8, 2))
-        with pytest.raises(HalfRoutingError):
-            shear_right_half(PixelTerm(0, 1, 1), vspec(8, 2))
-        with pytest.raises(HalfRoutingError):
-            shear_top_half(PixelTerm(0, 0, 1), vspec(8, 2))
+        assert shear_term(PixelTerm(3, 2, 1), spec).y == 3
 
     def test_negative_sign_flips_directions(self):
         plus, minus = hspec(16, 2, sign=1), hspec(16, 2, sign=-1)
         term = PixelTerm(0, 2, 1)
-        assert shear_top_half(term, plus).x == 0
-        assert shear_top_half(term, minus).x == 4
+        assert shear_term(term, plus).x == 0
+        assert shear_term(term, minus).x == 4
 
     def test_displacement_rounds_half_up(self):
-        assert displacement(1, FixedPointValue(0, 8)) == 1  # 0.5 -> 1
-        assert displacement(1, FixedPointValue(0, 7)) == 0  # 0.4375 -> 0
-        assert displacement(3, FixedPointValue(0, 4)) == 1  # 0.75 -> 1
+        assert displacement(1, FixedPointValue(8)) == 1  # 0.5 -> 1
+        assert displacement(1, FixedPointValue(7)) == 0  # 0.4375 -> 0
+        assert displacement(3, FixedPointValue(4)) == 1  # 0.75 -> 1
 
 
 class TestApplyShear:
@@ -255,6 +239,27 @@ class TestRotate:
         assert np.count_nonzero(decode(res.final)) == 16 * 16
         clipped = rotate(img, RotationSpec(60), canvas="clip")
         assert np.count_nonzero(decode(clipped.final)) < 16 * 16
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        theta=st.floats(min_value=-90, max_value=90, exclude_min=True, exclude_max=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=4, theta=89.99, seed=0)
+    @example(n=4, theta=-89.99, seed=1)
+    @example(n=3, theta=0.0, seed=2)
+    @example(n=5, theta=45.0, seed=3)
+    def test_expanded_canvas_places_every_pixel_on_the_coordinate_map(self, n, theta, seed):
+        side = 1 << n
+        raster = np.random.default_rng(seed).integers(1, 256, (side, side), dtype=np.uint8)
+        exponent, offset = expanded_canvas_params(n)
+        coords = rotation_coordinate_map(side, theta) + offset
+        assert coords.min() >= 0 and coords.max() < 1 << exponent  # nothing leaves the canvas
+        expected = np.zeros((1 << exponent, 1 << exponent), dtype=np.uint8)
+        expected[coords[..., 0], coords[..., 1]] = raster
+        final = rotate(encode(raster), RotationSpec(theta), canvas="expand").final
+        assert np.array_equal(decode(final), expected)
 
 
 class TestExactTurns:

@@ -25,7 +25,7 @@ NETLIST = NetlistBackend()
 
 
 def spec_for(axis, q16, sign, n):
-    return ShearSpec(axis, FixedPointValue(q16 // 16, q16 % 16), sign, n)
+    return ShearSpec(axis, FixedPointValue(q16), sign, n)
 
 
 @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
