@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Netlist, NetlistBuilder
+from .core import Netlist, NetlistBuilder, invert
 
 __all__ = [
     "FixedPointValue",
@@ -220,8 +220,6 @@ def emit_interpolation(
 
 def build_adder(n: int) -> Netlist:
     """|a, b> -> |a, a + b> with the (n+1)-bit b register receiving the sum."""
-    if n < 1:
-        raise ValueError("adder width must be at least 1")
     nb = NetlistBuilder()
     a = nb.register("a", n)
     b = nb.register("b", n + 1)
@@ -232,22 +230,11 @@ def build_adder(n: int) -> Netlist:
 
 def build_subtractor(n: int) -> Netlist:
     """|a, d> -> |a, d - a>: the adder run backwards."""
-    if n < 1:
-        raise ValueError("subtractor width must be at least 1")
-    nb = NetlistBuilder()
-    a = nb.register("a", n)
-    b = nb.register("b", n + 1)
-    carry = nb.register("carry", n, ancilla=True)
-    start = nb.mark()
-    emit_adder(nb, a, b, carry)
-    nb.reverse_tail(start)
-    return nb.build()
+    return invert(build_adder(n))
 
 
 def build_self_adder(n: int) -> Netlist:
     """|x>|0> -> |x>|2x>: x copied one position up, lowest output bit 0."""
-    if n < 1:
-        raise ValueError("doubling width must be at least 1")
     nb = NetlistBuilder()
     x = nb.register("x", n)
     out = nb.register("out", n + 1)
@@ -257,8 +244,6 @@ def build_self_adder(n: int) -> Netlist:
 
 def build_ctrl_multi(n: int, m: int) -> Netlist:
     """|a>|x>|c>|0> -> |a>|x>|c>|a*x*c| over n multiplier and m multiplicand bits."""
-    if n < 1 or m < 1:
-        raise ValueError("multiplier and multiplicand widths must be at least 1")
     nb = NetlistBuilder()
     x = nb.register("x", n)
     a = nb.register("a", m)
@@ -278,8 +263,6 @@ def build_interpolation(n: int) -> Netlist:
     Registers: ``a`` (n value bits plus carry-out, receives the result),
     ``frac`` (4 bits, preserved), ``rnd`` (ends holding the rounding bit).
     """
-    if n < 1:
-        raise ValueError("interpolation width must be at least 1")
     nb = NetlistBuilder()
     a = nb.register("a", n + 1)
     frac = nb.register("frac", 4)

@@ -41,7 +41,7 @@ _KINDS = {
     "ctrl_multi": (lambda n, m: Fraction(29, 2) * n * (n + 2 * m - 1),
                    lambda n, m: build_ctrl_multi(n, m)),
     "top_half_shear": (lambda n, m: (Fraction(29, 2) * n + 29 * m + Fraction(139, 2)) * n - 35,
-                       lambda n, m: build_uniform_half_shear(n, m, "top")),
+                       lambda n, m: build_uniform_half_shear(n, m)),
     "full_horizontal_shear": (lambda n, m: Fraction(29 * n * n + 58 * m * n + 139 * n - 70),
                               lambda n, m: build_uniform_horizontal_shear(n, m)),
 }

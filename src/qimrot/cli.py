@@ -3,7 +3,7 @@
 Exit codes: 0 success (and, for verify/audit, full agreement); 1 a
 verification or audit comparison failed; 2 unreadable or malformed image
 input; 3 unsupported angle or parameter domain (including the netlist-mode
-size, canvas and factor limits); 4 output could not be written.
+frame and factor limits); 4 output could not be written.
 """
 from __future__ import annotations
 
@@ -61,7 +61,11 @@ class CommandConfig:
 
 
 def _load_image(path: str) -> NEQRImage:
-    return encode(read_pgm(path))
+    try:
+        raster = read_pgm(path)
+    except OSError as exc:
+        raise ImageFormatError(f"cannot read {path}: {exc}") from exc
+    return encode(raster)
 
 
 def _write_raster(path: str, raster: np.ndarray, ascii_output: bool) -> None:
@@ -118,7 +122,7 @@ def _cmd_verify(cfg: CommandConfig) -> int:
         if side < 2 or side & (side - 1):
             raise DomainError(f"--size must be a power of two of at least 2, got {side}")
         # refuse what the netlist backend cannot run before the checkerboard is built
-        checked_phase_specs(RotationSpec(cfg.angle), side.bit_length() - 1, "clip", netlist)
+        checked_phase_specs(RotationSpec(cfg.angle), side.bit_length() - 1, netlist)
         image = encode(patterns.checkerboard(side, tile=max(side // 8, 1)))
     spec = RotationSpec(cfg.angle)
     # netlist first: it refuses what it cannot run before the semantic engine works
@@ -243,9 +247,6 @@ def run(cfg: CommandConfig) -> int:
     try:
         return handlers[cfg.subcommand](cfg)
     except ImageFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except DomainError as exc:

@@ -62,15 +62,6 @@ class Gate:
                     f"wire {wire} is both control and target"
                 )
 
-    @property
-    def base_cost(self) -> int:
-        return _BASE_COST[self.kind]
-
-    @property
-    def cnot_equivalents(self) -> int:
-        surcharge = sum(POLARITY_SURCHARGE for _, on in self.controls if on == 0)
-        return self.base_cost + surcharge
-
 
 class Netlist:
     """An ordered gate list over labelled wires, with named registers.
@@ -195,7 +186,7 @@ def invert(netlist: Netlist) -> Netlist:
 
 def cost(netlist: Netlist) -> int:
     """Total CNOT-equivalent count, polarity surcharges included."""
-    return sum(g.cnot_equivalents for g in netlist.gates)
+    return sum(core_and_overhead_cost(netlist))
 
 
 def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
@@ -209,9 +200,9 @@ def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
     overhead = 0
     for gate in netlist.gates:
         if gate.overhead:
-            overhead += gate.base_cost
+            overhead += _BASE_COST[gate.kind]
         else:
-            core += gate.base_cost
+            core += _BASE_COST[gate.kind]
         overhead += sum(POLARITY_SURCHARGE for _, on in gate.controls if on == 0)
     return core, overhead
 

@@ -55,12 +55,13 @@ class NEQRImage:
     def side(self) -> int:
         return 1 << self.n
 
-    def terms(self) -> Iterator[PixelTerm]:
-        """Iterate the 4^n basis terms in row-major order."""
-        for y in range(self.side):
-            row = self._raster[y]
-            for x in range(self.side):
-                yield PixelTerm(y, x, int(row[x]))
+    def terms(self, offset: int = 0) -> Iterator[PixelTerm]:
+        """Iterate the 4^n basis terms in row-major order, placed ``offset``
+        rows and columns into a larger frame."""
+        coords = range(offset, offset + self.side)
+        for y, row in zip(coords, self._raster):
+            for x, value in zip(coords, row):
+                yield PixelTerm(y, x, int(value))
 
     def raster(self) -> np.ndarray:
         return self._raster.copy()

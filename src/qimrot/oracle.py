@@ -35,31 +35,34 @@ def _place_shifted(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
         dst[: side + shift] = src[-shift:]
 
 
-def oracle_shear(raster: np.ndarray, axis: str, factor: float) -> np.ndarray:
-    """One axis shear as rigid per-line shifts on the raster.
+def _shifts(coord: np.ndarray, mid: int, axis: str, factor: float) -> np.ndarray:
+    """Displacement of the moved coordinate for each driver coordinate.
 
-    Rows above the horizontal median shift by -round((mid - y) * q) columns
-    and rows below by +round((y - mid) * q); the vertical axis mirrors this
-    with columns shifting rows +/-.  Negative ``factor`` flips every
-    direction.
+    Horizontal: a row above the median (coord < mid) shifts by
+    -round((mid - y) * q) columns, a row below by +round((y - mid) * q).
+    Vertical mirrors this, with columns shifting rows the other way.  A
+    negative ``factor`` flips every direction.
     """
+    if axis not in ("horizontal", "vertical"):
+        raise ValueError(f"axis must be horizontal or vertical, got {axis!r}")
+    sgn = 1 if factor >= 0 else -1
+    if axis == "vertical":
+        sgn = -sgn
+    d = (np.abs(coord - mid) * _sixteenths(factor) + 8) // 16
+    return np.where(coord < mid, -sgn * d, sgn * d)
+
+
+def oracle_shear(raster: np.ndarray, axis: str, factor: float) -> np.ndarray:
+    """One axis shear as rigid per-line shifts on the raster: rows for the
+    horizontal axis, columns (rows of the transposed views) for vertical."""
     arr = np.asarray(raster)
     side = arr.shape[0]
-    mid = side // 2
-    q16 = _sixteenths(factor)
-    sgn = 1 if factor >= 0 else -1
+    # Python-int lines: a huge factor's displacement must not overflow int64
+    shifts = _shifts(np.arange(side, dtype=object), side // 2, axis, factor)
     out = np.zeros_like(arr)
-    for line in range(side):
-        offset = mid - line if line < mid else line - mid
-        d = (offset * q16 + 8) // 16
-        if axis == "horizontal":
-            shift = -sgn * d if line < mid else sgn * d
-            _place_shifted(out[line], arr[line], shift)
-        elif axis == "vertical":
-            shift = sgn * d if line < mid else -sgn * d
-            _place_shifted(out[:, line], arr[:, line], shift)
-        else:
-            raise ValueError(f"axis must be horizontal or vertical, got {axis!r}")
+    src, dst = (arr, out) if axis == "horizontal" else (arr.T, out.T)
+    for line, shift in enumerate(shifts):
+        _place_shifted(dst[line], src[line], int(shift))
     return out
 
 
@@ -90,20 +93,9 @@ def rotation_coordinate_map(side: int, theta_degrees: float) -> np.ndarray:
     tan_half, sin_full = _phase_factors(theta_degrees)
     mid = side // 2
     y, x = np.indices((side, side))
-
-    def shift(coord: np.ndarray, factor: float, flip_top: bool) -> np.ndarray:
-        q16 = _sixteenths(factor)
-        sgn = 1 if factor >= 0 else -1
-        offset = np.where(coord < mid, mid - coord, coord - mid)
-        d = (offset * q16 + 8) // 16
-        direction = np.where(coord < mid, -sgn, sgn)
-        if flip_top:
-            direction = -direction
-        return direction * d
-
-    x = x + shift(y, tan_half, flip_top=False)
-    y = y + shift(x, sin_full, flip_top=True)
-    x = x + shift(y, tan_half, flip_top=False)
+    x = x + _shifts(y, mid, "horizontal", tan_half)
+    y = y + _shifts(x, mid, "vertical", sin_full)
+    x = x + _shifts(y, mid, "horizontal", tan_half)
     return np.stack([y, x], axis=-1)
 
 

@@ -19,10 +19,12 @@ factored inverse-rotation matrix, which rotates the displayed raster
 counter-clockwise for positive angles; forward per-half application keeps
 every pass collision free, since each row (or column) shifts rigidly.
 
-Sheared coordinates may leave the frame.  The default canvas clips them
-after every shear (background 0); the expanded canvas keeps all terms and
-materialises results on a 2^(n+2)-sided frame whose origin sits 3 * 2^(n-1)
-before the original one.
+Sheared coordinates may leave the frame, and are clipped after every shear
+(background 0).  The canvas only picks the frame: ``clip`` runs on the
+image's own 2^n frame; ``expand`` runs the same pipeline on a 2^(n+2)-sided
+frame with the image centred, its origin 3 * 2^(n-1) inside.  Both frames
+share the median, so the shears are the same; on the wide frame no rotation
+term comes closer than 2^(n-1) to the edge, so nothing is clipped.
 
 ``rotate`` and ``apply_shear`` are the one pipeline.  Each shear phase runs
 on a pluggable backend: ``SEMANTIC`` (plain integer arithmetic, the
@@ -32,7 +34,7 @@ refuses the requests it cannot run before any term is sheared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 from .arithmetic import FixedPointValue
@@ -151,7 +153,7 @@ def shear_term(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
 class PhaseBackend(Protocol):
     """How one shear phase is computed."""
 
-    def check(self, spec: ShearSpec, canvas: str) -> None:
+    def check(self, spec: ShearSpec) -> None:
         """Raise a DomainError if this backend cannot run the phase."""
 
     def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
@@ -159,9 +161,9 @@ class PhaseBackend(Protocol):
 
 
 class SemanticBackend:
-    """Plain integer arithmetic per term; runs every phase and canvas."""
+    """Plain integer arithmetic per term; runs every phase."""
 
-    def check(self, spec: ShearSpec, canvas: str) -> None:
+    def check(self, spec: ShearSpec) -> None:
         pass
 
     def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
@@ -178,17 +180,18 @@ def _clip(terms: list[PixelTerm], n: int) -> list[PixelTerm]:
 
 def expanded_canvas_params(n: int) -> tuple[int, int]:
     """(exponent, origin offset) of the expanded canvas for a 2^n image."""
+    if n < 1:
+        raise DomainError("cannot shear a single-pixel image")
     return n + 2, _EXPAND_OFFSET_HALVES << (n - 1)
 
 
-def _materialize(terms: list[PixelTerm], n: int, canvas: str) -> NEQRImage:
+def _frame(n: int, canvas: str) -> tuple[int, int]:
+    """(exponent, offset of the image's origin) of the frame a canvas runs on."""
     if canvas == "clip":
-        return NEQRImage.from_terms(n, terms)
-    if canvas != "expand":
-        raise ValueError(f"canvas must be clip or expand, got {canvas!r}")
-    exponent, offset = expanded_canvas_params(n)
-    shifted = [PixelTerm(t.y + offset, t.x + offset, t.color) for t in terms]
-    return NEQRImage.from_terms(exponent, shifted)
+        return n, 0
+    if canvas == "expand":
+        return expanded_canvas_params(n)
+    raise ValueError(f"canvas must be clip or expand, got {canvas!r}")
 
 
 def apply_shear(
@@ -197,18 +200,19 @@ def apply_shear(
     """Shear every term of an image; vacated positions take background 0."""
     if spec.n != image.n:
         raise ValueError(f"spec built for 2^{spec.n} frame, image is 2^{image.n}")
-    backend.check(spec, canvas)
-    sheared = backend.shear(list(image.terms()), spec)
-    return _materialize(sheared, image.n, canvas)
+    exponent, offset = _frame(image.n, canvas)
+    spec = replace(spec, n=exponent)
+    backend.check(spec)
+    return NEQRImage.from_terms(exponent, backend.shear(list(image.terms(offset)), spec))
 
 
 def checked_phase_specs(
-    spec: RotationSpec, n: int, canvas: str, backend: PhaseBackend
+    spec: RotationSpec, n: int, backend: PhaseBackend
 ) -> tuple[ShearSpec, ShearSpec, ShearSpec]:
     """The three phase specs for a 2^n frame, each vetted by the backend."""
     phase_specs = spec.phase_specs(n)
     for phase in phase_specs:
-        backend.check(phase, canvas)
+        backend.check(phase)
     return phase_specs
 
 
@@ -217,20 +221,19 @@ def rotate(
 ) -> RotationResult:
     """Run the three-phase shear pipeline, keeping both intermediate frames.
 
-    With the clip canvas, terms leaving the frame are dropped after every
-    phase, exactly as each intermediate image shows.  With the expanded
-    canvas no term is dropped between phases and all three outputs live on
-    the 2^(n+2) frame.  The backend vets all three phases before the first
-    one runs.
+    Terms leaving the canvas's frame are dropped after every phase, exactly
+    as each intermediate image shows.  The backend vets all three phases
+    before the first one runs.
     """
-    phase_specs = checked_phase_specs(spec, image.n, canvas, backend)
-    terms = list(image.terms())
+    exponent, offset = _frame(image.n, canvas)
+    phase_specs = checked_phase_specs(spec, exponent, backend)
+    terms = list(image.terms(offset))
     snapshots = []
     for phase in phase_specs:
+        # two statements, so the previous phase's list is freed before the clip
         terms = backend.shear(terms, phase)
-        if canvas == "clip":
-            terms = _clip(terms, image.n)
-        snapshots.append(_materialize(terms, image.n, canvas))
+        terms = _clip(terms, exponent)
+        snapshots.append(NEQRImage.from_terms(exponent, terms))
     return RotationResult(snapshots[2], snapshots[0], snapshots[1])
 
 

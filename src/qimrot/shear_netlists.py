@@ -56,14 +56,6 @@ class NetlistModeError(DomainError):
     """Request outside what gate-level execution supports."""
 
 
-def _halves(axis: str, order: str) -> tuple[str, str]:
-    if order not in ("tb", "bt"):
-        raise ValueError(f"order must be 'tb' or 'bt', got {order!r}")
-    first_low = order == "tb"
-    low, high = ("top", "bottom") if axis == HORIZONTAL else ("left", "right")
-    return (low, high) if first_low else (high, low)
-
-
 def _emit_offset(
     nb: NetlistBuilder, coord: list[int], med: list[int], carry: list[int], n: int, low_half: bool
 ) -> list[int]:
@@ -82,11 +74,10 @@ def _emit_offset(
 
 
 def _emit_image_half(
-    nb: NetlistBuilder, regs: dict, n: int, axis: str, half: str, sign: int
+    nb: NetlistBuilder, regs: dict, n: int, horizontal: bool, low_half: bool, sign: int
 ) -> None:
-    driver = regs["y"] if axis == HORIZONTAL else regs["x"]
-    moved = regs["x"] if axis == HORIZONTAL else regs["y"]
-    low_half = half in ("top", "left")
+    driver = regs["y"] if horizontal else regs["x"]
+    moved = regs["x"] if horizontal else regs["y"]
     polarity = 0 if low_half else 1
     ctrl = regs["ctrl"][0]
     carry = regs["carry"]
@@ -111,7 +102,7 @@ def _emit_image_half(
     stop = nb.mark()
 
     # coordinate update: subtract for (top, +) / (right, +), add otherwise
-    subtract = (sign > 0) == (half in ("top", "right"))
+    subtract = (sign > 0) == (low_half == horizontal)
     s = nb.mark()
     emit_modular_adder(nb, integer, moved, carry[: n + COORD_EXTRA_BITS])
     if subtract:
@@ -136,6 +127,8 @@ def build_shear_netlist(n: int, axis: str, sign: int, order: str = "tb") -> Netl
         raise ValueError(f"axis must be horizontal or vertical, got {axis!r}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if order not in ("tb", "bt"):
+        raise ValueError(f"order must be 'tb' or 'bt', got {order!r}")
     width = n + COORD_EXTRA_BITS
     multiplicand = n + 1  # offset register width
     nb = NetlistBuilder()
@@ -156,8 +149,8 @@ def build_shear_netlist(n: int, axis: str, sign: int, order: str = "tb") -> Netl
         nb.register(f"dbl{i + 1}", multiplicand + i + 1, ancilla=True)
         for i in range(_FACTOR_BITS)
     ]
-    for half in _halves(axis, order):
-        _emit_image_half(nb, regs, n, axis, half, sign)
+    for low_half in (order == "tb", order == "bt"):
+        _emit_image_half(nb, regs, n, axis == HORIZONTAL, low_half, sign)
     return nb.build()
 
 
@@ -203,16 +196,12 @@ class NetlistBackend:
     def __init__(self, order: str = "tb") -> None:
         self.order = order
 
-    def check(self, spec: ShearSpec, canvas: str) -> None:
-        if canvas != "clip":
-            raise NetlistModeError(
-                "netlist mode supports the clip canvas only (half dispatch reads "
-                "one register bit, which is meaningful only in frame)"
-            )
+    def check(self, spec: ShearSpec) -> None:
         if spec.n > MAX_NETLIST_EXPONENT:
             raise NetlistModeError(
-                f"netlist mode is limited to frames up to 2^{MAX_NETLIST_EXPONENT} "
-                f"(got 2^{spec.n}); use semantic mode for larger images"
+                f"netlist mode is limited to frames up to {1 << MAX_NETLIST_EXPONENT} px "
+                f"a side (got {1 << spec.n}; the expand canvas's frame has 4x the "
+                "image's side); use semantic mode for larger images"
             )
         if spec.factor.sixteenths >= 1 << _FACTOR_BITS:
             raise NetlistModeError(
@@ -228,8 +217,7 @@ class NetlistBackend:
 # uniform-width netlists for the cost audit
 
 
-def _emit_uniform_half(nb: NetlistBuilder, regs: dict, n: int, half: str) -> None:
-    low_half = half == "top"
+def _emit_uniform_half(nb: NetlistBuilder, regs: dict, n: int, low_half: bool) -> None:
     polarity = 0 if low_half else 1
     ctrl = regs["ctrl"][0]
     carry = regs["carry"]
@@ -270,8 +258,6 @@ def _emit_uniform_half(nb: NetlistBuilder, regs: dict, n: int, half: str) -> Non
 
 
 def _uniform_builder(n: int, m: int) -> tuple[NetlistBuilder, dict]:
-    if n < 1:
-        raise ValueError("coordinate width must be at least 1")
     if m < 4:
         raise ValueError("factor width must cover the 4 fraction bits (m >= 4)")
     nb = NetlistBuilder()
@@ -294,22 +280,20 @@ def _uniform_builder(n: int, m: int) -> tuple[NetlistBuilder, dict]:
     return nb, regs
 
 
-def build_uniform_half_shear(n: int, m: int, half: str = "top") -> Netlist:
-    """One half shear at the audit's uniform widths.
+def build_uniform_half_shear(n: int, m: int) -> Netlist:
+    """The top half shear at the audit's uniform widths.
 
     Core content: two width-n adders, one n-stage multiplier with an m-bit
     multiplicand, one width-n interpolation.
     """
-    if half not in ("top", "bottom"):
-        raise ValueError(f"half must be top or bottom, got {half!r}")
     nb, regs = _uniform_builder(n, m)
-    _emit_uniform_half(nb, regs, n, half)
+    _emit_uniform_half(nb, regs, n, True)
     return nb.build()
 
 
 def build_uniform_horizontal_shear(n: int, m: int) -> Netlist:
     """Both half shears at uniform widths over shared registers."""
     nb, regs = _uniform_builder(n, m)
-    _emit_uniform_half(nb, regs, n, "top")
-    _emit_uniform_half(nb, regs, n, "bottom")
+    _emit_uniform_half(nb, regs, n, True)
+    _emit_uniform_half(nb, regs, n, False)
     return nb.build()

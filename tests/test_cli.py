@@ -80,6 +80,17 @@ def test_rotate_expand_canvas_output_is_4x_side(tmp_path, image_file):
     assert read_pgm(out).shape == (64, 64)
 
 
+def test_netlist_expand_rotate_matches_semantic(tmp_path, image_file):
+    outs = []
+    for mode in ("semantic", "netlist"):
+        out = str(tmp_path / f"{mode}.pgm")
+        assert invoke(["rotate", "--input", image_file, "--output", out, "--angle", "30",
+                       "--canvas", "expand", "--mode", mode]) == EXIT_OK
+        outs.append(read_pgm(out))
+    assert outs[0].shape == (64, 64)
+    assert np.array_equal(outs[0], outs[1])
+
+
 def test_shear_factor_and_ascii_output(tmp_path, image_file):
     out = str(tmp_path / "sheared.pgm")
     assert invoke(["shear", "--input", image_file, "--output", out,
@@ -151,11 +162,35 @@ class TestErrorExits:
         assert invoke(["rotate", "--input", src, "--output", out,
                        "--angle", "30", "--mode", "netlist"]) == EXIT_DOMAIN
 
-    def test_netlist_mode_rejects_expand_canvas(self, tmp_path, image_file):
-        out = str(tmp_path / "x.pgm")
-        assert invoke(["rotate", "--input", image_file, "--output", out,
+    def test_netlist_mode_rejects_expand_canvas(self, tmp_path):
+        # a 32x32 image needs a 2^7 expand frame, beyond the netlist limit
+        src = str(tmp_path / "in32.pgm")
+        write_pgm(src, random_raster(32, seed=32))
+        out = tmp_path / "x.pgm"
+        assert invoke(["rotate", "--input", src, "--output", str(out),
                        "--angle", "30", "--mode", "netlist",
                        "--canvas", "expand"]) == EXIT_DOMAIN
+        assert not out.exists()
+
+    @pytest.mark.parametrize("canvas", ["clip", "expand"])
+    def test_single_pixel_image_is_out_of_domain(self, tmp_path, canvas):
+        src = str(tmp_path / "dot.pgm")
+        write_pgm(src, np.full((1, 1), 7, dtype=np.uint8))
+        assert invoke(["rotate", "--input", src, "--output", str(tmp_path / "x.pgm"),
+                       "--angle", "30", "--canvas", canvas]) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("subcommand", [
+        ["rotate", "--angle", "30"],
+        ["shear", "--axis", "vertical", "--factor", "0.5"],
+        ["verify", "--angle", "30"],
+    ])
+    def test_unreadable_input_path(self, tmp_path, capsys, subcommand):
+        # a directory cannot be read as a file
+        argv = [*subcommand, "--input", str(tmp_path)]
+        if subcommand[0] != "verify":
+            argv += ["--output", str(tmp_path / "x.pgm")]
+        assert invoke(argv) == EXIT_FORMAT
+        assert "cannot read" in capsys.readouterr().err
 
     @pytest.mark.parametrize("factor", [["--factor", "nan"], ["--factor", "inf"],
                                         ["--angle", "nan"], ["--angle", "inf"]])

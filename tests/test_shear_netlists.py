@@ -1,23 +1,34 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qimrot import shear_netlists
+from qimrot import arithmetic, shear, shear_netlists
 from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
-from qimrot.core import dump_netlist, run
+from qimrot.core import core_and_overhead_cost, cost, dump_netlist, run
 from qimrot.neqr import PixelTerm, decode, encode
 from qimrot.oracle import oracle_shear
 from qimrot.patterns import random_raster
-from qimrot.shear import RotationSpec, ShearSpec, apply_shear, rotate, shear_term
+from qimrot.shear import (
+    SEMANTIC,
+    RotationSpec,
+    ShearSpec,
+    apply_shear,
+    expanded_canvas_params,
+    rotate,
+    shear_term,
+)
 from qimrot.shear_netlists import (
     MAX_NETLIST_EXPONENT,
     NetlistBackend,
     NetlistModeError,
     build_shear_netlist,
+    build_uniform_half_shear,
+    build_uniform_horizontal_shear,
     run_shear_phase,
 )
 
@@ -114,7 +125,8 @@ def _no_term_may_be_sheared(*args):
 @pytest.mark.parametrize(
     "side, factor, canvas",
     [
-        (16, 0.5, "expand"),
+        (32, 0.5, "expand"),  # a 2^7 frame
+        (64, 0.5, "expand"),
         (1 << (MAX_NETLIST_EXPONENT + 1), 0.5, "clip"),
         (16, 2.0, "clip"),
         (16, -1.97, "clip"),  # quantizes to 32 sixteenths
@@ -128,6 +140,63 @@ def test_backend_refuses_before_any_term_is_sheared(monkeypatch, side, factor, c
     if abs(factor) < 1:  # rotation factors never exceed 1
         with pytest.raises(NetlistModeError):
             rotate(img, RotationSpec(30), canvas, NETLIST)
+
+
+def test_expand_frame_too_wide_is_refused_with_the_4x_reason():
+    img = encode(np.zeros((32, 32), dtype=np.uint8))
+    with pytest.raises(NetlistModeError, match="4x the image's side"):
+        rotate(img, RotationSpec(30), "expand", NETLIST)
+
+
+@pytest.mark.parametrize("backend", [SEMANTIC, NETLIST], ids=["semantic", "netlist"])
+def test_unknown_canvas_is_refused_before_any_term_is_sheared(monkeypatch, backend):
+    monkeypatch.setattr(shear, "shear_term", _no_term_may_be_sheared)
+    monkeypatch.setattr(shear_netlists, "run_shear_phase", _no_term_may_be_sheared)
+    img = encode(random_raster(8, seed=14))
+    with pytest.raises(ValueError, match="canvas must be clip or expand"):
+        rotate(img, RotationSpec(30), "wrap", backend)
+    with pytest.raises(ValueError, match="canvas must be clip or expand"):
+        apply_shear(img, ShearSpec.from_factor("vertical", 0.5, img.n), "wrap", backend)
+
+
+def _oracle_expand_frames(raster, theta):
+    """phase1, phase2, final: the oracle's shear chain on the raster
+    zero-padded to the expanded canvas at its offset."""
+    side = raster.shape[0]
+    exponent, offset = expanded_canvas_params(side.bit_length() - 1)
+    padded = np.zeros((1 << exponent, 1 << exponent), dtype=np.uint8)
+    padded[offset : offset + side, offset : offset + side] = raster
+    rad = math.radians(theta)
+    phase1 = oracle_shear(padded, "horizontal", math.tan(rad / 2))
+    phase2 = oracle_shear(phase1, "vertical", math.sin(rad))
+    return phase1, phase2, oracle_shear(phase2, "horizontal", math.tan(rad / 2))
+
+
+def _assert_expand_frames(raster, theta, backend):
+    res = rotate(encode(raster), RotationSpec(theta), "expand", backend)
+    for got, want in zip((res.phase1, res.phase2, res.final), _oracle_expand_frames(raster, theta)):
+        assert np.array_equal(decode(got), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    theta=st.floats(min_value=-90, max_value=90, exclude_min=True, exclude_max=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=3, theta=89.99, seed=0)
+@example(n=3, theta=-89.99, seed=1)
+@example(n=5, theta=89.99, seed=2)
+def test_expand_frames_are_the_oracle_chain_on_the_padded_raster(n, theta, seed):
+    raster = np.random.default_rng(seed).integers(1, 256, (1 << n, 1 << n), dtype=np.uint8)
+    _assert_expand_frames(raster, theta, SEMANTIC)
+    if n <= 3:
+        _assert_expand_frames(raster, theta, NETLIST)
+
+
+def test_netlist_expand_at_the_widest_frame_matches_the_oracle_chain():
+    # a 16x16 image on the 2^6 frame, the largest the netlist backend runs
+    _assert_expand_frames(random_raster(16, seed=15) | 1, -61.3, NETLIST)
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,4 +253,25 @@ def test_netlist_dumps_registers_and_audit_csv_are_pinned():
     digest.update(audit_report().to_csv().encode())
     assert digest.hexdigest() == (
         "3629a5484f22a8ff01034925a438b2b15dde3e5751bd2e3257501e0bc1f756ca"
+    )
+
+
+def test_standalone_builders_and_their_costs_are_pinned():
+    # dumps, register layouts and both cost tallies of every standalone builder
+    digest = hashlib.sha256()
+    netlists = []
+    for n in range(1, 7):
+        netlists += [arithmetic.build_adder(n), arithmetic.build_subtractor(n),
+                     arithmetic.build_self_adder(n), arithmetic.build_interpolation(n)]
+        netlists += [arithmetic.build_ctrl_multi(n, m) for m in range(1, 7)]
+        for m in range(4, 7):
+            netlists += [build_uniform_half_shear(n, m), build_uniform_horizontal_shear(n, m)]
+    for netlist in netlists:
+        digest.update(dump_netlist(netlist).encode())
+        digest.update(repr(sorted(netlist.registers.items())).encode())
+        digest.update(repr(sorted(netlist.ancillas)).encode())
+        digest.update(repr([g.overhead for g in netlist.gates]).encode())
+        digest.update(repr((cost(netlist), core_and_overhead_cost(netlist))).encode())
+    assert digest.hexdigest() == (
+        "fd59a8bafbd88871f7a2b2d0ad58c9f5744bb888eb3a0194723d36bf83ab6727"
     )
