@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Desk-scale rotation demo: three angles, three shear phases each.
+"""Paper-scale rotation demo: three angles, three shear phases each.
 
 Writes, for every angle, the input, both intermediate shear frames, and the
 rotated result as PGM files, then cross-checks each result against the
@@ -24,7 +24,7 @@ from qimrot.shear import RotationSpec, rotate
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="demo_out")
-    parser.add_argument("--side", type=int, default=64)
+    parser.add_argument("--side", type=int, default=512)
     parser.add_argument("--pattern", choices=["checkerboard", "gradient", "random"],
                         default="checkerboard")
     parser.add_argument("--angles", type=float, nargs="+", default=[30, 45, 60])

@@ -27,7 +27,7 @@ from .core import (
     invert,
     run,
 )
-from .neqr import ImageFormatError, NEQRImage, PixelTerm, decode, encode
+from .neqr import ImageFormatError, NEQRImage, PixelTerm, Terms, decode, encode
 from .oracle import (
     agreement_fraction,
     ideal_rotate,

@@ -37,6 +37,7 @@ locally would take one more CNOT than the closed form allows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,7 +83,11 @@ class FixedPointValue:
         """Round a non-negative real to the nearest sixteenth, ties upward."""
         if real < 0:
             raise ValueError("quantize takes a magnitude; track sign separately")
-        return cls(int(real * 16 + 0.5))
+        scaled = real * 16
+        if math.isinf(scaled):
+            # only floats far above 2^53 get here, and those are whole numbers
+            return cls(int(real) * 16)
+        return cls(int(scaled + 0.5))
 
 
 # ---------------------------------------------------------------------------

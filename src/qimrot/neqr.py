@@ -4,7 +4,8 @@ An NEQR image stores a 2^n x 2^n grayscale raster as a uniform superposition
 of |color>|y x> basis terms with an 8-bit color register.  Because every
 operation in this package permutes basis states, the uniform 1/2^n amplitude
 is a constant global factor and is never materialised; the codec is an exact
-bijection between rasters and term sets.
+bijection between rasters and term sets.  ``Terms`` holds a term set as
+three integer columns, so a transform moves all terms at once.
 """
 from __future__ import annotations
 
@@ -31,6 +32,44 @@ class PixelTerm:
     color: int
 
 
+class Terms:
+    """Basis terms as three int64 columns: rows ``y``, columns ``x``, ``color``.
+
+    ``len`` is the term count; iterating yields one ``PixelTerm`` per term.
+    """
+
+    __slots__ = ("y", "x", "color")
+
+    def __init__(self, y: np.ndarray, x: np.ndarray, color: np.ndarray) -> None:
+        self.y = y
+        self.x = x
+        self.color = color
+
+    @classmethod
+    def of(cls, terms: Iterable[PixelTerm]) -> "Terms":
+        """Columns holding the given terms, in order."""
+        rows = [(t.y, t.x, t.color) for t in terms]
+        y, x, color = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        return cls(y, x, color)
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __iter__(self) -> Iterator[PixelTerm]:
+        for y, x, color in zip(self.y.tolist(), self.x.tolist(), self.color.tolist()):
+            yield PixelTerm(y, x, color)
+
+    def clip(self, n: int) -> "Terms":
+        """The terms inside [0, 2^n) in both coordinates (these columns
+        themselves when every term is inside)."""
+        side = 1 << n
+        # a negative coordinate reads as a huge unsigned one
+        inside = (self.y.view(np.uint64) < side) & (self.x.view(np.uint64) < side)
+        if inside.all():
+            return self
+        return Terms(self.y[inside], self.x[inside], self.color[inside])
+
+
 class NEQRImage:
     """A 2^n x 2^n grayscale raster with its basis-term view."""
 
@@ -55,13 +94,15 @@ class NEQRImage:
     def side(self) -> int:
         return 1 << self.n
 
-    def terms(self, offset: int = 0) -> Iterator[PixelTerm]:
-        """Iterate the 4^n basis terms in row-major order, placed ``offset``
-        rows and columns into a larger frame."""
-        coords = range(offset, offset + self.side)
-        for y, row in zip(coords, self._raster):
-            for x, value in zip(coords, row):
-                yield PixelTerm(y, x, int(value))
+    def terms(self, offset: int = 0) -> Terms:
+        """The 4^n basis terms in row-major order, placed ``offset`` rows and
+        columns into a larger frame."""
+        coords = np.arange(offset, offset + self.side, dtype=np.int64)
+        return Terms(
+            np.repeat(coords, self.side),
+            np.tile(coords, self.side),
+            self._raster.ravel().astype(np.int64),
+        )
 
     def raster(self) -> np.ndarray:
         return self._raster.copy()
@@ -77,16 +118,17 @@ class NEQRImage:
         return f"NEQRImage({self.side}x{self.side})"
 
     @classmethod
-    def from_terms(cls, n: int, terms: Iterable[PixelTerm]) -> "NEQRImage":
+    def from_terms(cls, n: int, terms: Terms | Iterable[PixelTerm]) -> "NEQRImage":
         """Materialise in-frame terms onto a zero background.
 
         Terms outside [0, 2^n) in either coordinate are dropped (clipping).
         """
+        if not isinstance(terms, Terms):
+            terms = Terms.of(terms)
+        kept = terms.clip(n)
         side = 1 << n
         canvas = np.zeros((side, side), dtype=np.uint8)
-        for term in terms:
-            if 0 <= term.y < side and 0 <= term.x < side:
-                canvas[term.y, term.x] = term.color
+        canvas[kept.y, kept.x] = kept.color
         return cls(canvas)
 
 

@@ -21,7 +21,10 @@ from .shear import UnsupportedAngleError
 
 def _sixteenths(factor: float) -> int:
     """abs(factor) rounded to the nearest sixteenth, ties upward."""
-    return int(abs(factor) * 16 + 0.5)
+    scaled = abs(factor) * 16
+    if math.isinf(scaled):  # a float this large is a whole number
+        return int(abs(factor)) * 16
+    return int(scaled + 0.5)
 
 
 def _place_shifted(dst: np.ndarray, src: np.ndarray, shift: int) -> None:

@@ -70,11 +70,16 @@ def read_pgm(path: str) -> np.ndarray:
             f"{path}: expected {width * height} samples, got {len(values)}"
         )
     try:
-        flat = np.array([int(v) for v in values], dtype=np.int64)
+        samples = [int(v) for v in values]
     except ValueError:
         raise ImageFormatError(f"{path}: non-numeric sample")
+    outside = ImageFormatError(f"{path}: sample outside [0, {maxval}]")
+    try:
+        flat = np.array(samples, dtype=np.int64)
+    except OverflowError:  # beyond int64, so beyond maxval too
+        raise outside from None
     if flat.size and (flat.min() < 0 or flat.max() > maxval):
-        raise ImageFormatError(f"{path}: sample outside [0, {maxval}]")
+        raise outside
     return flat.astype(np.uint8).reshape(height, width)
 
 

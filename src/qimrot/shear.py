@@ -26,10 +26,11 @@ frame with the image centred, its origin 3 * 2^(n-1) inside.  Both frames
 share the median, so the shears are the same; on the wide frame no rotation
 term comes closer than 2^(n-1) to the edge, so nothing is clipped.
 
-``rotate`` and ``apply_shear`` are the one pipeline.  Each shear phase runs
-on a pluggable backend: ``SEMANTIC`` (plain integer arithmetic, the
-default) or the gate-level ``shear_netlists.NetlistBackend``.  A backend
-refuses the requests it cannot run before any term is sheared.
+``rotate`` and ``apply_shear`` are the one pipeline; they carry the terms
+as numpy columns (``neqr.Terms``).  Each shear phase runs on a pluggable
+backend: ``SEMANTIC`` (the default, which shifts every line at once by a
+per-line step table) or the gate-level ``shear_netlists.NetlistBackend``.
+A backend refuses the requests it cannot run before any term is sheared.
 """
 from __future__ import annotations
 
@@ -37,8 +38,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Protocol
 
+import numpy as np
+
 from .arithmetic import FixedPointValue
-from .neqr import NEQRImage, PixelTerm
+from .neqr import NEQRImage, PixelTerm, Terms
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -151,31 +154,50 @@ def shear_term(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
 
 
 class PhaseBackend(Protocol):
-    """How one shear phase is computed."""
+    """How one shear phase is computed.
+
+    Input terms must be in the spec's 2^n frame; output coordinates may
+    leave it.
+    """
 
     def check(self, spec: ShearSpec) -> None:
         """Raise a DomainError if this backend cannot run the phase."""
 
-    def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
+    def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
         """Shear every term; coordinates may leave the frame."""
 
 
+def _line_steps(spec: ShearSpec) -> np.ndarray:
+    """The moved coordinate's shift for each line of the frame.
+
+    Each step is ``shear_term``'s on one probe term of its line, saturated
+    at +-side: a shift of a whole side or more takes every in-frame term of
+    the line off the frame either way, so saturating keeps clipping exact
+    and the steps inside int64.
+    """
+    side = 1 << spec.n
+    if spec.axis == HORIZONTAL:
+        steps = [shear_term(PixelTerm(line, 0, 0), spec).x for line in range(side)]
+    else:
+        steps = [shear_term(PixelTerm(0, line, 0), spec).y for line in range(side)]
+    return np.array([max(-side, min(side, s)) for s in steps], dtype=np.int64)
+
+
 class SemanticBackend:
-    """Plain integer arithmetic per term; runs every phase."""
+    """Plain integer arithmetic: one gather of the per-line steps per phase;
+    runs every phase."""
 
     def check(self, spec: ShearSpec) -> None:
         pass
 
-    def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
-        return [shear_term(t, spec) for t in terms]
+    def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
+        steps = _line_steps(spec)
+        if spec.axis == HORIZONTAL:
+            return Terms(terms.y, terms.x + steps[terms.y], terms.color)
+        return Terms(terms.y + steps[terms.x], terms.x, terms.color)
 
 
 SEMANTIC = SemanticBackend()
-
-
-def _clip(terms: list[PixelTerm], n: int) -> list[PixelTerm]:
-    side = 1 << n
-    return [t for t in terms if 0 <= t.y < side and 0 <= t.x < side]
 
 
 def expanded_canvas_params(n: int) -> tuple[int, int]:
@@ -203,7 +225,7 @@ def apply_shear(
     exponent, offset = _frame(image.n, canvas)
     spec = replace(spec, n=exponent)
     backend.check(spec)
-    return NEQRImage.from_terms(exponent, backend.shear(list(image.terms(offset)), spec))
+    return NEQRImage.from_terms(exponent, backend.shear(image.terms(offset), spec))
 
 
 def checked_phase_specs(
@@ -227,12 +249,10 @@ def rotate(
     """
     exponent, offset = _frame(image.n, canvas)
     phase_specs = checked_phase_specs(spec, exponent, backend)
-    terms = list(image.terms(offset))
+    terms = image.terms(offset)
     snapshots = []
     for phase in phase_specs:
-        # two statements, so the previous phase's list is freed before the clip
-        terms = backend.shear(terms, phase)
-        terms = _clip(terms, exponent)
+        terms = backend.shear(terms, phase).clip(exponent)
         snapshots.append(NEQRImage.from_terms(exponent, terms))
     return RotationResult(snapshots[2], snapshots[0], snapshots[1])
 
@@ -246,6 +266,4 @@ def exact_turn(image: NEQRImage, degrees: int) -> NEQRImage:
         return NEQRImage(image.raster())
     if degrees % 90 != 0:
         raise UnsupportedAngleError("exact turns support multiples of 90 degrees only")
-    import numpy as np
-
     return NEQRImage(np.rot90(image.raster(), k=(degrees // 90) % 4).copy())

@@ -35,7 +35,7 @@ from .arithmetic import (
     emit_modular_adder,
 )
 from .core import Netlist, NetlistBuilder, execute
-from .neqr import PixelTerm
+from .neqr import PixelTerm, Terms
 from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
 
 #: Netlist execution walks every gate for every pixel term; above this frame
@@ -209,8 +209,8 @@ class NetlistBackend:
                 f"(got {spec.factor.sixteenths}/16); use semantic mode"
             )
 
-    def shear(self, terms: list[PixelTerm], spec: ShearSpec) -> list[PixelTerm]:
-        return run_shear_phase(terms, spec.n, spec, self.order)
+    def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
+        return Terms.of(run_shear_phase(list(terms), spec.n, spec, self.order))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 All comparisons are bit-exact; gate-count comparisons carry zero tolerance.
 """
 import functools
+import math
 import random
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from qimrot.arithmetic import (
 from qimrot.audit import measure, predict
 from qimrot.core import execute, invert, run
 from qimrot.neqr import PixelTerm, decode, encode
-from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate
+from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate, oracle_shear
 from qimrot.patterns import checkerboard, gradient, random_raster
 from qimrot.shear import (
     RotationSpec,
@@ -262,9 +263,23 @@ def test_criterion_6_no_blocking_or_blurring():
 def test_criterion_7_rotation_demo(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_rotation_demo.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--side", "16", "--outdir", str(tmp_path)],
+        [sys.executable, str(script), "--outdir", str(tmp_path)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("oracle match yes") == 3, proc.stdout
     assert len(list(tmp_path.glob("*.pgm"))) == 10  # input + 3 angles x 3 frames
+
+
+@criterion(8, "rotation equivalence at the paper's 512x512 scale")
+def test_criterion_8_rotation_at_paper_scale():
+    raster = random_raster(512, seed=512)
+    image = encode(raster)
+    for theta in (30, 45, 60):
+        result = rotate(image, RotationSpec(theta))
+        tan_half, sin_full = math.tan(math.radians(theta) / 2), math.sin(math.radians(theta))
+        phase1 = oracle_shear(raster, "horizontal", tan_half)
+        phase2 = oracle_shear(phase1, "vertical", sin_full)
+        assert np.array_equal(decode(result.phase1), phase1), theta
+        assert np.array_equal(decode(result.phase2), phase2), theta
+        assert np.array_equal(decode(result.final), oracle_rotate(raster, theta)), theta

@@ -197,6 +197,10 @@ class TestFixedPointValue:
     def test_quantize_round_half_up(self, real, expected):
         assert FixedPointValue.quantize(real).sixteenths == expected
 
+    @pytest.mark.parametrize("real", [1e308, 1.7976931348623157e308])
+    def test_quantize_beyond_float_range_times_16(self, real):
+        assert FixedPointValue.quantize(real).sixteenths == int(real) * 16
+
     @settings(max_examples=100)
     @given(st.floats(min_value=0, max_value=1.05, allow_nan=False))
     def test_quantization_error_within_half_step(self, real):

@@ -100,6 +100,16 @@ def test_shear_factor_and_ascii_output(tmp_path, image_file):
     assert np.array_equal(read_pgm(out), oracle_shear(read_pgm(image_file), "horizontal", 0.5))
 
 
+@pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+@pytest.mark.parametrize("factor", ["144115188075855872", "1e20", "-3e18",
+                                    "1e308", "-1e308", "1.7976931348623157e308"])
+def test_shear_by_a_huge_factor_matches_the_oracle(tmp_path, image_file, axis, factor):
+    out = str(tmp_path / "sheared.pgm")
+    assert invoke(["shear", "--input", image_file, "--output", out,
+                   "--axis", axis, f"--factor={factor}"]) == EXIT_OK
+    assert np.array_equal(read_pgm(out), oracle_shear(read_pgm(image_file), axis, float(factor)))
+
+
 def test_shear_netlist_mode_matches_semantic(tmp_path, image_file):
     a, b = str(tmp_path / "sa.pgm"), str(tmp_path / "sb.pgm")
     for out, mode in ((a, "semantic"), (b, "netlist")):
@@ -191,6 +201,13 @@ class TestErrorExits:
             argv += ["--output", str(tmp_path / "x.pgm")]
         assert invoke(argv) == EXIT_FORMAT
         assert "cannot read" in capsys.readouterr().err
+
+    def test_p2_sample_beyond_int64(self, tmp_path, capsys):
+        src = tmp_path / "big.pgm"
+        src.write_text("P2\n2 2\n255\n0 1 2 99999999999999999999999\n")
+        assert invoke(["rotate", "--input", str(src), "--output", str(tmp_path / "x.pgm"),
+                       "--angle", "30"]) == EXIT_FORMAT
+        assert "sample outside [0, 255]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("factor", [["--factor", "nan"], ["--factor", "inf"],
                                         ["--angle", "nan"], ["--angle", "inf"]])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qimrot.neqr import ImageFormatError, NEQRImage, PixelTerm, decode, encode
+from qimrot.neqr import ImageFormatError, NEQRImage, PixelTerm, Terms, decode, encode
 from qimrot.pgm import read_pgm, write_pgm
 
 
@@ -63,6 +63,28 @@ class TestCodec:
         assert np.array_equal(decode(img), [[9, 0], [0, 0]])
 
 
+class TestTerms:
+    def test_columns_are_row_major_int64(self):
+        img = encode(np.array([[5, 6], [7, 8]], dtype=np.uint8))
+        terms = img.terms(offset=3)
+        assert len(terms) == 4
+        for column in (terms.y, terms.x, terms.color):
+            assert column.dtype == np.int64
+        assert terms.y.tolist() == [3, 3, 4, 4]
+        assert terms.x.tolist() == [3, 4, 3, 4]
+        assert terms.color.tolist() == [5, 6, 7, 8]
+
+    def test_of_round_trips_pixel_terms(self):
+        pixel_terms = [PixelTerm(0, -3, 9), PixelTerm(7, 1, 255)]
+        assert list(Terms.of(pixel_terms)) == pixel_terms
+        assert len(Terms.of([])) == 0
+
+    def test_clip_keeps_in_frame_terms_in_order(self):
+        terms = Terms.of([PixelTerm(1, 1, 1), PixelTerm(-1, 0, 2), PixelTerm(0, 2, 3),
+                          PixelTerm(0, 0, 4), PixelTerm(2, 1, 5)])
+        assert list(terms.clip(1)) == [PixelTerm(1, 1, 1), PixelTerm(0, 0, 4)]
+
+
 class TestPgm:
     @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
     def test_round_trip(self, tmp_path, binary):
@@ -99,6 +121,13 @@ class TestPgm:
         path = tmp_path / "r.pgm"
         path.write_text("P2\n2 2\n255\n0 1 2 999\n")
         with pytest.raises(ImageFormatError):
+            read_pgm(str(path))
+
+    @pytest.mark.parametrize("sample", ["99999999999999999999999", "-99999999999999999999999"])
+    def test_rejects_sample_beyond_int64(self, tmp_path, sample):
+        path = tmp_path / "r.pgm"
+        path.write_text(f"P2\n2 1\n255\n0 {sample}\n")
+        with pytest.raises(ImageFormatError, match=r"sample outside \[0, 255\]"):
             read_pgm(str(path))
 
     def test_non_power_of_two_file_rejected_at_encode(self, tmp_path):

@@ -38,6 +38,14 @@ class TestOracleShear:
         engine = decode(apply_shear(encode(r), ShearSpec.from_factor(axis, factor, 5)))
         assert np.array_equal(oracle_shear(r, axis, factor), engine)
 
+    @pytest.mark.parametrize("factor", [1e308, -1.7976931348623157e308])
+    def test_huge_factor_keeps_only_the_median_line(self, factor):
+        r = random_raster(16, seed=23)
+        rows, columns = np.zeros_like(r), np.zeros_like(r)
+        rows[8], columns[:, 8] = r[8], r[:, 8]
+        assert np.array_equal(oracle_shear(r, "horizontal", factor), rows)
+        assert np.array_equal(oracle_shear(r, "vertical", factor), columns)
+
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
             oracle_shear(np.zeros((4, 4), dtype=np.uint8), "diagonal", 0.5)

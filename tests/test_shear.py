@@ -11,6 +11,9 @@ from qimrot.neqr import PixelTerm, decode, encode
 from qimrot.oracle import rotation_coordinate_map
 from qimrot.patterns import random_raster, row_bands
 from qimrot.shear import (
+    HORIZONTAL,
+    SEMANTIC,
+    VERTICAL,
     RotationSpec,
     ShearSpec,
     UnsupportedAngleError,
@@ -171,6 +174,38 @@ class TestApplyShear:
             kept = [raster[y, x] for x in range(side) if 0 <= x + d < side]
             vacated = side - len(kept)
             assert Counter(out[y]) == Counter(kept) + Counter({0: vacated})
+
+
+class TestSemanticBackend:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        axis=st.sampled_from([HORIZONTAL, VERTICAL]),
+        factor=st.floats(min_value=-50, max_value=50, allow_nan=False),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(n=6, axis=HORIZONTAL, factor=2.0**57, seed=1)
+    @example(n=6, axis=VERTICAL, factor=2.0**57, seed=1)
+    @example(n=5, axis=HORIZONTAL, factor=1e20, seed=2)
+    @example(n=5, axis=VERTICAL, factor=1e20, seed=2)
+    @example(n=4, axis=HORIZONTAL, factor=-3e18, seed=3)
+    @example(n=4, axis=VERTICAL, factor=-3e18, seed=3)
+    def test_line_table_shear_is_shear_term_on_every_term(self, n, axis, factor, seed):
+        """One gather of saturated per-line steps equals the scalar rule: after
+        clipping everywhere, and before clipping wherever the scalar step is
+        below the side."""
+        side = 1 << n
+        spec = ShearSpec.from_factor(axis, factor, n)
+        terms = encode(random_raster(side, seed=seed)).terms()
+        scalar = [shear_term(t, spec) for t in terms]
+        sheared = SEMANTIC.shear(terms, spec)
+        assert list(sheared.clip(n)) == [
+            t for t in scalar if 0 <= t.y < side and 0 <= t.x < side
+        ]
+        for term, column, expected in zip(terms, sheared, scalar):
+            step = (expected.x - term.x) + (expected.y - term.y)  # one of them is 0
+            if abs(step) < side:
+                assert column == expected
 
 
 class TestRotate:
