@@ -49,6 +49,7 @@ from .shear import (
     displacement,
     exact_turn,
     expanded_canvas_params,
+    line_steps,
     rotate,
     shear_term,
 )

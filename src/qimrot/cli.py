@@ -89,6 +89,8 @@ def _backend(cfg: CommandConfig) -> PhaseBackend:
 
 
 def _cmd_rotate(cfg: CommandConfig) -> int:
+    if cfg.exact_turn is not None and cfg.emit_intermediates:
+        raise DomainError("--emit-intermediates needs shear phases; an exact turn has none")
     image = _load_image(cfg.input)
     if cfg.exact_turn is not None:
         result_image = exact_turn(image, cfg.exact_turn)

@@ -5,7 +5,7 @@ of |color>|y x> basis terms with an 8-bit color register.  Because every
 operation in this package permutes basis states, the uniform 1/2^n amplitude
 is a constant global factor and is never materialised; the codec is an exact
 bijection between rasters and term sets.  ``Terms`` holds a term set as
-three integer columns, so a transform moves all terms at once.
+three columns, so a transform moves all terms at once.
 """
 from __future__ import annotations
 
@@ -33,24 +33,28 @@ class PixelTerm:
 
 
 class Terms:
-    """Basis terms as three int64 columns: rows ``y``, columns ``x``, ``color``.
+    """Basis terms as columns: int64 rows ``y`` and columns ``x``, and the
+    8-bit color register ``color`` as uint8.
 
     ``len`` is the term count; iterating yields one ``PixelTerm`` per term.
+    ``frame`` is n once every term is known to lie in the 2^n frame (set by
+    clipping), else None, so clipping to that frame again costs nothing.
     """
 
-    __slots__ = ("y", "x", "color")
+    __slots__ = ("y", "x", "color", "frame")
 
     def __init__(self, y: np.ndarray, x: np.ndarray, color: np.ndarray) -> None:
         self.y = y
         self.x = x
         self.color = color
+        self.frame: int | None = None
 
     @classmethod
     def of(cls, terms: Iterable[PixelTerm]) -> "Terms":
         """Columns holding the given terms, in order."""
         rows = [(t.y, t.x, t.color) for t in terms]
         y, x, color = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        return cls(y, x, color)
+        return cls(y, x, color.astype(np.uint8))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -61,13 +65,15 @@ class Terms:
 
     def clip(self, n: int) -> "Terms":
         """The terms inside [0, 2^n) in both coordinates (these columns
-        themselves when every term is inside)."""
+        themselves when they are known to be inside)."""
+        if self.frame is not None and self.frame <= n:
+            return self
         side = 1 << n
         # a negative coordinate reads as a huge unsigned one
         inside = (self.y.view(np.uint64) < side) & (self.x.view(np.uint64) < side)
-        if inside.all():
-            return self
-        return Terms(self.y[inside], self.x[inside], self.color[inside])
+        kept = Terms(self.y[inside], self.x[inside], self.color[inside])
+        kept.frame = n
+        return kept
 
 
 class NEQRImage:
@@ -86,9 +92,13 @@ class NEQRImage:
             arr = arr.astype(np.int64)
         if arr.size and (arr.min() < 0 or arr.max() > 255):
             raise ImageFormatError("pixel values must lie in [0, 255]")
-        self.n = side.bit_length() - 1
-        self._raster = arr.astype(np.uint8)
-        self._raster.setflags(write=False)
+        self._hold(arr.astype(np.uint8))
+
+    def _hold(self, raster: np.ndarray) -> None:
+        """Keep ``raster``, a valid uint8 raster no one else holds, read-only."""
+        self.n = raster.shape[0].bit_length() - 1
+        raster.setflags(write=False)
+        self._raster = raster
 
     @property
     def side(self) -> int:
@@ -98,11 +108,8 @@ class NEQRImage:
         """The 4^n basis terms in row-major order, placed ``offset`` rows and
         columns into a larger frame."""
         coords = np.arange(offset, offset + self.side, dtype=np.int64)
-        return Terms(
-            np.repeat(coords, self.side),
-            np.tile(coords, self.side),
-            self._raster.ravel().astype(np.int64),
-        )
+        y, x = np.repeat(coords, self.side), np.tile(coords, self.side)
+        return Terms(y, x, self._raster.ravel())
 
     def raster(self) -> np.ndarray:
         return self._raster.copy()
@@ -126,10 +133,13 @@ class NEQRImage:
         if not isinstance(terms, Terms):
             terms = Terms.of(terms)
         kept = terms.clip(n)
-        side = 1 << n
-        canvas = np.zeros((side, side), dtype=np.uint8)
-        canvas[kept.y, kept.x] = kept.color
-        return cls(canvas)
+        flat = kept.y << n
+        flat |= kept.x
+        canvas = np.zeros(1 << 2 * n, dtype=np.uint8)
+        canvas[flat] = kept.color
+        image = cls.__new__(cls)  # the canvas is valid by construction: no copy
+        image._hold(canvas.reshape(1 << n, 1 << n))
+        return image
 
 
 def encode(raster: np.ndarray) -> NEQRImage:

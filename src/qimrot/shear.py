@@ -28,9 +28,12 @@ term comes closer than 2^(n-1) to the edge, so nothing is clipped.
 
 ``rotate`` and ``apply_shear`` are the one pipeline; they carry the terms
 as numpy columns (``neqr.Terms``).  Each shear phase runs on a pluggable
-backend: ``SEMANTIC`` (the default, which shifts every line at once by a
-per-line step table) or the gate-level ``shear_netlists.NetlistBackend``.
-A backend refuses the requests it cannot run before any term is sheared.
+backend, which drops the terms leaving the frame: ``SEMANTIC`` (the
+default) or the gate-level ``shear_netlists.NetlistBackend``.  ``SEMANTIC``
+states the four equations once, as ``line_steps`` on the array of frame
+lines, shifts every term by its line's step in one gather, and masks only
+the moved column, since the driver column does not change.  A backend
+refuses the requests it cannot run before any term is sheared.
 """
 from __future__ import annotations
 
@@ -128,73 +131,80 @@ class RotationResult:
     phase2: NEQRImage
 
 
-def displacement(offset: int, factor: FixedPointValue) -> int:
-    """Round-half-up of offset * factor, computed exactly in sixteenths."""
-    if offset < 0:
+def line_steps(lines: np.ndarray, spec: ShearSpec) -> np.ndarray:
+    """The module docstring's four half equations as one rule, on an array of
+    driver lines (y for a horizontal shear, x for a vertical one).
+
+    A line picks its half by the sign of its offset from the median; the
+    moved coordinate (x, respectively y) shifts by the displacement of that
+    offset's magnitude, in the direction set by the half and the factor's
+    sign.  Steps saturate at +-side: a shift of a whole side or more takes
+    every in-frame term of the line off the frame either way, so saturating
+    keeps clipping exact.  Clamping q to 16 * (side + 1) first is exact for
+    the same reason (for an offset of 1 or more both displacements exceed
+    the side; for offset 0 both are 0), and keeps the product of an in-frame
+    offset inside int64 for frames up to 2^28.
+    """
+    side = 1 << spec.n
+    offset = lines - spec.median
+    q16 = min(spec.factor.sixteenths, 16 * (side + 1))
+    d = displacement(np.abs(offset), FixedPointValue(q16))
+    sign = spec.sign if spec.axis == HORIZONTAL else -spec.sign
+    return sign * np.sign(offset) * np.minimum(d, side)
+
+
+def displacement(offset: int | np.ndarray, factor: FixedPointValue) -> int | np.ndarray:
+    """Round-half-up of offset * factor, computed exactly in sixteenths, for
+    a non-negative int offset or each of an int array of them."""
+    if np.any(offset < 0):
         raise ValueError("offset must be non-negative")
     return (offset * factor.sixteenths + 8) // 16
 
 
 def shear_term(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
-    """Apply the module docstring's four half equations as one rule.
-
-    The driver coordinate (y for a horizontal shear, x for a vertical one)
-    picks the half by the sign of its offset from the median; the moved
-    coordinate (x, respectively y) shifts by the displacement of that
-    offset's magnitude, in the direction set by the half and the factor's
-    sign.
-    """
-    horizontal = spec.axis == HORIZONTAL
-    offset = (term.y if horizontal else term.x) - spec.median
-    d = displacement(abs(offset), spec.factor)
-    step = spec.sign * d if offset >= 0 else -spec.sign * d
-    if horizontal:
-        return PixelTerm(term.y, term.x + step, term.color)
-    return PixelTerm(term.y - step, term.x, term.color)
+    """One term through ``line_steps``: the driver coordinate is unchanged,
+    the moved one shifts by its line's step."""
+    if spec.axis == HORIZONTAL:
+        return PixelTerm(term.y, term.x + int(line_steps(np.int64(term.y), spec)), term.color)
+    return PixelTerm(term.y + int(line_steps(np.int64(term.x), spec)), term.x, term.color)
 
 
 class PhaseBackend(Protocol):
     """How one shear phase is computed.
 
-    Input terms must be in the spec's 2^n frame; output coordinates may
-    leave it.
+    Input terms must be in the spec's 2^n frame; terms that leave it are
+    dropped.  The driver coordinate of every kept term is unchanged.
     """
 
     def check(self, spec: ShearSpec) -> None:
         """Raise a DomainError if this backend cannot run the phase."""
 
     def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
-        """Shear every term; coordinates may leave the frame."""
-
-
-def _line_steps(spec: ShearSpec) -> np.ndarray:
-    """The moved coordinate's shift for each line of the frame.
-
-    Each step is ``shear_term``'s on one probe term of its line, saturated
-    at +-side: a shift of a whole side or more takes every in-frame term of
-    the line off the frame either way, so saturating keeps clipping exact
-    and the steps inside int64.
-    """
-    side = 1 << spec.n
-    if spec.axis == HORIZONTAL:
-        steps = [shear_term(PixelTerm(line, 0, 0), spec).x for line in range(side)]
-    else:
-        steps = [shear_term(PixelTerm(0, line, 0), spec).y for line in range(side)]
-    return np.array([max(-side, min(side, s)) for s in steps], dtype=np.int64)
+        """Shear every term; returns the terms still in the frame."""
 
 
 class SemanticBackend:
-    """Plain integer arithmetic: one gather of the per-line steps per phase;
-    runs every phase."""
+    """Plain integer arithmetic: a step per frame line, one gather and one
+    mask on the moved column per phase; runs every phase."""
 
     def check(self, spec: ShearSpec) -> None:
         pass
 
     def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
-        steps = _line_steps(spec)
-        if spec.axis == HORIZONTAL:
-            return Terms(terms.y, terms.x + steps[terms.y], terms.color)
-        return Terms(terms.y + steps[terms.x], terms.x, terms.color)
+        side = 1 << spec.n
+        horizontal = spec.axis == HORIZONTAL
+        driver, moved = (terms.y, terms.x) if horizontal else (terms.x, terms.y)
+        shifted = line_steps(np.arange(side), spec)[driver]
+        shifted += moved  # in place on the fresh gather, never on an input column
+        # the driver column is unchanged and in frame: mask the moved one only
+        inside = shifted.view(np.uint64) < side  # a negative coordinate reads as huge
+        color = terms.color
+        if not inside.all():
+            shifted = shifted[inside]  # drop the full column before the next copy
+            driver, color = driver[inside], color[inside]
+        out = Terms(driver, shifted, color) if horizontal else Terms(shifted, driver, color)
+        out.frame = spec.n
+        return out
 
 
 SEMANTIC = SemanticBackend()
@@ -252,7 +262,7 @@ def rotate(
     terms = image.terms(offset)
     snapshots = []
     for phase in phase_specs:
-        terms = backend.shear(terms, phase).clip(exponent)
+        terms = backend.shear(terms, phase)
         snapshots.append(NEQRImage.from_terms(exponent, terms))
     return RotationResult(snapshots[2], snapshots[0], snapshots[1])
 

@@ -210,7 +210,7 @@ class NetlistBackend:
             )
 
     def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
-        return Terms.of(run_shear_phase(list(terms), spec.n, spec, self.order))
+        return Terms.of(run_shear_phase(list(terms), spec.n, spec, self.order)).clip(spec.n)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,14 @@ def test_exact_turn_matches_rot90(tmp_path, image_file):
     assert np.array_equal(read_pgm(out), np.rot90(read_pgm(image_file)))
 
 
+def test_exact_turn_refuses_intermediates_and_writes_nothing(tmp_path, image_file, capsys):
+    out = str(tmp_path / "turn.pgm")
+    assert invoke(["rotate", "--input", image_file, "--output", out,
+                   "--exact-turn", "90", "--emit-intermediates"]) == EXIT_DOMAIN
+    assert "exact turn has no" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
 def test_rotate_expand_canvas_output_is_4x_side(tmp_path, image_file):
     out = str(tmp_path / "big.pgm")
     assert invoke(["rotate", "--input", image_file, "--output", out,

@@ -68,8 +68,8 @@ class TestTerms:
         img = encode(np.array([[5, 6], [7, 8]], dtype=np.uint8))
         terms = img.terms(offset=3)
         assert len(terms) == 4
-        for column in (terms.y, terms.x, terms.color):
-            assert column.dtype == np.int64
+        assert terms.y.dtype == terms.x.dtype == np.int64
+        assert terms.color.dtype == np.uint8  # NEQR's 8-bit color register
         assert terms.y.tolist() == [3, 3, 4, 4]
         assert terms.x.tolist() == [3, 4, 3, 4]
         assert terms.color.tolist() == [5, 6, 7, 8]
@@ -83,6 +83,13 @@ class TestTerms:
         terms = Terms.of([PixelTerm(1, 1, 1), PixelTerm(-1, 0, 2), PixelTerm(0, 2, 3),
                           PixelTerm(0, 0, 4), PixelTerm(2, 1, 5)])
         assert list(terms.clip(1)) == [PixelTerm(1, 1, 1), PixelTerm(0, 0, 4)]
+
+    def test_clipped_terms_are_not_masked_again(self):
+        terms = Terms.of([PixelTerm(1, 1, 1), PixelTerm(-1, 0, 2)])
+        kept = terms.clip(1)
+        assert kept.clip(1) is kept and kept.clip(2) is kept
+        assert list(kept.clip(0)) == []
+        assert terms.frame is None  # clipping leaves its input as it was
 
 
 class TestPgm:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimrot.arithmetic import FixedPointValue
-from qimrot.neqr import PixelTerm, decode, encode
+from qimrot.neqr import PixelTerm, Terms, decode, encode
 from qimrot.oracle import rotation_coordinate_map
 from qimrot.patterns import random_raster, row_bands
 from qimrot.shear import (
@@ -21,9 +21,11 @@ from qimrot.shear import (
     displacement,
     exact_turn,
     expanded_canvas_params,
+    line_steps,
     rotate,
     shear_term,
 )
+from qimrot.shear_netlists import NetlistBackend
 
 
 def hspec(q16, n, sign=1):
@@ -32,6 +34,37 @@ def hspec(q16, n, sign=1):
 
 def vspec(q16, n, sign=1):
     return ShearSpec("vertical", FixedPointValue(q16), sign, n)
+
+
+def assert_rotation_round_trip(raster, theta, backend):
+    """rotate(theta) on the expand canvas, then rotate(-theta) on that frame's
+    own clip canvas, is the input at the expand offset on a zero background."""
+    side = raster.shape[0]
+    exponent, offset = expanded_canvas_params(side.bit_length() - 1)
+    there = rotate(encode(raster), RotationSpec(theta), "expand", backend).final
+    back = rotate(there, RotationSpec(-theta), "clip", backend).final
+    expected = np.zeros((1 << exponent, 1 << exponent), dtype=np.uint8)
+    expected[offset : offset + side, offset : offset + side] = raster
+    assert np.array_equal(decode(back), expected)
+
+
+def reference_shear(terms, spec):
+    """The module docstring's four half equations, term by term in Python
+    ints, unsaturated: the reference the array rule is checked against."""
+    mid, q16, sign = 1 << (spec.n - 1), spec.factor.sixteenths, spec.sign
+
+    def d(offset):
+        return (offset * q16 + 8) // 16
+
+    out = []
+    for t in terms:
+        if spec.axis == HORIZONTAL:
+            x = t.x - sign * d(mid - t.y) if t.y < mid else t.x + sign * d(t.y - mid)
+            out.append(PixelTerm(t.y, x, t.color))
+        else:
+            y = t.y + sign * d(mid - t.x) if t.x < mid else t.y - sign * d(t.x - mid)
+            out.append(PixelTerm(y, t.x, t.color))
+    return out
 
 
 class TestHalfShears:
@@ -179,33 +212,62 @@ class TestApplyShear:
 class TestSemanticBackend:
     @settings(max_examples=150, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=1, max_value=7),
         axis=st.sampled_from([HORIZONTAL, VERTICAL]),
+        canvas=st.sampled_from(["clip", "expand"]),
         factor=st.floats(min_value=-50, max_value=50, allow_nan=False),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    @example(n=6, axis=HORIZONTAL, factor=2.0**57, seed=1)
-    @example(n=6, axis=VERTICAL, factor=2.0**57, seed=1)
-    @example(n=5, axis=HORIZONTAL, factor=1e20, seed=2)
-    @example(n=5, axis=VERTICAL, factor=1e20, seed=2)
-    @example(n=4, axis=HORIZONTAL, factor=-3e18, seed=3)
-    @example(n=4, axis=VERTICAL, factor=-3e18, seed=3)
-    def test_line_table_shear_is_shear_term_on_every_term(self, n, axis, factor, seed):
-        """One gather of saturated per-line steps equals the scalar rule: after
-        clipping everywhere, and before clipping wherever the scalar step is
-        below the side."""
-        side = 1 << n
-        spec = ShearSpec.from_factor(axis, factor, n)
-        terms = encode(random_raster(side, seed=seed)).terms()
-        scalar = [shear_term(t, spec) for t in terms]
-        sheared = SEMANTIC.shear(terms, spec)
-        assert list(sheared.clip(n)) == [
-            t for t in scalar if 0 <= t.y < side and 0 <= t.x < side
+    @example(n=6, axis=HORIZONTAL, canvas="clip", factor=2.0**57, seed=1)
+    @example(n=6, axis=VERTICAL, canvas="expand", factor=2.0**57, seed=1)
+    @example(n=5, axis=HORIZONTAL, canvas="expand", factor=1e20, seed=2)
+    @example(n=5, axis=VERTICAL, canvas="clip", factor=1e20, seed=2)
+    @example(n=4, axis=HORIZONTAL, canvas="clip", factor=-3e18, seed=3)
+    @example(n=4, axis=VERTICAL, canvas="expand", factor=-3e18, seed=3)
+    @example(n=7, axis=HORIZONTAL, canvas="expand", factor=1e308, seed=4)
+    @example(n=7, axis=VERTICAL, canvas="clip", factor=-1e308, seed=4)
+    def test_line_table_shear_is_shear_term_on_every_term(self, n, axis, canvas, factor, seed):
+        """The array rule gives every term the reference loop's step, saturated
+        at +-side, and the semantic backend keeps exactly the reference's
+        in-frame terms, in order."""
+        exponent, offset = expanded_canvas_params(n) if canvas == "expand" else (n, 0)
+        side = 1 << exponent
+        spec = ShearSpec.from_factor(axis, factor, exponent)
+        terms = encode(random_raster(1 << n, seed=seed)).terms(offset)
+        reference = reference_shear(terms, spec)
+        steps = line_steps(terms.y if axis == HORIZONTAL else terms.x, spec)
+        assert steps.tolist() == [
+            max(-side, min(side, (r.x - t.x) + (r.y - t.y)))  # one of them is 0
+            for t, r in zip(terms, reference)
         ]
-        for term, column, expected in zip(terms, sheared, scalar):
-            step = (expected.x - term.x) + (expected.y - term.y)  # one of them is 0
-            if abs(step) < side:
-                assert column == expected
+        assert list(SEMANTIC.shear(terms, spec)) == [
+            r for r in reference if 0 <= r.y < side and 0 <= r.x < side
+        ]
+
+    # at expand, 0.3 drops no term, so a shear's output shares its driver column
+    @pytest.mark.parametrize("factor", [0.3, -0.9, 5.0])
+    @pytest.mark.parametrize("canvas", ["clip", "expand"])
+    def test_shear_and_rotate_leave_their_inputs_unchanged(self, canvas, factor):
+        img = encode(random_raster(16, seed=21))
+        raster = img.raster()
+        exponent, offset = expanded_canvas_params(4) if canvas == "expand" else (4, 0)
+        terms = img.terms(offset)
+        before = [column.copy() for column in (terms.y, terms.x, terms.color)]
+        for axis in (HORIZONTAL, VERTICAL):
+            sheared = SEMANTIC.shear(terms, ShearSpec.from_factor(axis, factor, exponent))
+            assert sheared.y.dtype == sheared.x.dtype == np.int64
+            assert sheared.color.dtype == np.uint8
+            assert sheared.clip(exponent) is sheared  # masked once, not again
+        for column, copy in zip((terms.y, terms.x, terms.color), before):
+            assert np.array_equal(column, copy)
+        rotate(img, RotationSpec(np.degrees(np.arctan(factor))), canvas)
+        assert np.array_equal(img.raster(), raster)
+
+    def test_dtypes_survive_clip_and_terms_of(self):
+        terms = Terms.of([PixelTerm(0, -3, 9), PixelTerm(7, 1, 255)])
+        for columns in (terms, terms.clip(3)):
+            assert columns.y.dtype == columns.x.dtype == np.int64
+            assert columns.color.dtype == np.uint8
 
 
 class TestRotate:
@@ -295,6 +357,25 @@ class TestRotate:
         expected[coords[..., 0], coords[..., 1]] = raster
         final = rotate(encode(raster), RotationSpec(theta), canvas="expand").final
         assert np.array_equal(decode(final), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        theta=st.floats(min_value=-90, max_value=90, exclude_min=True, exclude_max=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=6, theta=89.99, seed=0)
+    @example(n=5, theta=-89.99, seed=1)
+    def test_expand_then_inverse_rotation_restores_the_image(self, n, theta, seed):
+        """Each shear leaves its driver coordinate alone and -theta gives the
+        exactly negated shears in the palindromic H, V, H order, so rotating
+        back on the expand frame returns every term to where it started."""
+        assert_rotation_round_trip(random_raster(1 << n, seed=seed), theta, SEMANTIC)
+
+    @pytest.mark.parametrize("n, theta", [(1, 89.99), (2, -61.3), (3, 37.0), (4, -23.5)])
+    def test_netlist_expand_then_inverse_rotation_restores_the_image(self, n, theta):
+        # both rotations run on the 2^(n+2) frame, at most the netlist limit 2^6
+        assert_rotation_round_trip(random_raster(1 << n, seed=n), theta, NetlistBackend())
 
 
 class TestExactTurns:

@@ -11,7 +11,7 @@ from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
 from qimrot.core import core_and_overhead_cost, cost, dump_netlist, run
 from qimrot.neqr import PixelTerm, decode, encode
-from qimrot.oracle import oracle_shear
+from qimrot.oracle import oracle_rotate, oracle_shear
 from qimrot.patterns import random_raster
 from qimrot.shear import (
     SEMANTIC,
@@ -150,7 +150,7 @@ def test_expand_frame_too_wide_is_refused_with_the_4x_reason():
 
 @pytest.mark.parametrize("backend", [SEMANTIC, NETLIST], ids=["semantic", "netlist"])
 def test_unknown_canvas_is_refused_before_any_term_is_sheared(monkeypatch, backend):
-    monkeypatch.setattr(shear, "shear_term", _no_term_may_be_sheared)
+    monkeypatch.setattr(shear, "line_steps", _no_term_may_be_sheared)
     monkeypatch.setattr(shear_netlists, "run_shear_phase", _no_term_may_be_sheared)
     img = encode(random_raster(8, seed=14))
     with pytest.raises(ValueError, match="canvas must be clip or expand"):
@@ -192,6 +192,29 @@ def test_expand_frames_are_the_oracle_chain_on_the_padded_raster(n, theta, seed)
     _assert_expand_frames(raster, theta, SEMANTIC)
     if n <= 3:
         _assert_expand_frames(raster, theta, NETLIST)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    magnitude=st.floats(min_value=89.9, max_value=90, exclude_max=True),
+    sign=st.sampled_from([1, -1]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(n=4, magnitude=89.9, sign=1, seed=0)
+@example(n=4, magnitude=89.9, sign=-1, seed=1)
+@example(n=3, magnitude=89.95, sign=1, seed=2)
+@example(n=4, magnitude=89.99, sign=-1, seed=3)
+@example(n=2, magnitude=89.9999, sign=1, seed=4)
+def test_near_right_angle_rotation_is_three_way_equal(n, magnitude, sign, seed):
+    theta = sign * magnitude
+    assert {spec.factor.sixteenths for spec in RotationSpec(theta).phase_specs(n)} == {16}
+    raster = random_raster(1 << n, seed=seed)
+    img = encode(raster)
+    semantic = decode(rotate(img, RotationSpec(theta)).final)
+    gates = decode(rotate(img, RotationSpec(theta), backend=NETLIST).final)
+    assert np.array_equal(gates, semantic)
+    assert np.array_equal(semantic, oracle_rotate(raster, theta))
 
 
 def test_netlist_expand_at_the_widest_frame_matches_the_oracle_chain():
