@@ -27,7 +27,7 @@ from .core import (
     invert,
     run,
 )
-from .neqr import ImageFormatError, NEQRImage, PixelTerm, Terms, decode, encode
+from .neqr import ImageFormatError, NEQRImage, Terms, decode, encode
 from .oracle import (
     agreement_fraction,
     ideal_rotate,
@@ -51,7 +51,6 @@ from .shear import (
     expanded_canvas_params,
     line_steps,
     rotate,
-    shear_term,
 )
 from .shear_netlists import (
     MAX_NETLIST_EXPONENT,

@@ -5,12 +5,10 @@ of |color>|y x> basis terms with an 8-bit color register.  Because every
 operation in this package permutes basis states, the uniform 1/2^n amplitude
 is a constant global factor and is never materialised; the codec is an exact
 bijection between rasters and term sets.  ``Terms`` holds a term set as
-three columns, so a transform moves all terms at once.
+three columns, so a transform moves all terms at once; it is the only term
+representation.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -19,26 +17,15 @@ class ImageFormatError(ValueError):
     """Raster or image file violates the format contract."""
 
 
-@dataclass(frozen=True)
-class PixelTerm:
-    """One basis term: row value, column value, 8-bit color value.
-
-    Coordinates may leave the 2^n frame while a term is mid-shear; range is
-    enforced when terms are materialised into an image, not here.
-    """
-
-    y: int
-    x: int
-    color: int
-
-
 class Terms:
     """Basis terms as columns: int64 rows ``y`` and columns ``x``, and the
     8-bit color register ``color`` as uint8.
 
-    ``len`` is the term count; iterating yields one ``PixelTerm`` per term.
-    ``frame`` is n once every term is known to lie in the 2^n frame (set by
-    clipping), else None, so clipping to that frame again costs nothing.
+    Coordinates may leave the 2^n frame while a term is mid-shear; range is
+    enforced when terms are materialised into an image, not here.  ``len``
+    is the term count.  ``frame`` is n once every term is known to lie in
+    the 2^n frame (set by clipping), else None, so clipping to that frame
+    again costs nothing.
     """
 
     __slots__ = ("y", "x", "color", "frame")
@@ -49,19 +36,8 @@ class Terms:
         self.color = color
         self.frame: int | None = None
 
-    @classmethod
-    def of(cls, terms: Iterable[PixelTerm]) -> "Terms":
-        """Columns holding the given terms, in order."""
-        rows = [(t.y, t.x, t.color) for t in terms]
-        y, x, color = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        return cls(y, x, color.astype(np.uint8))
-
     def __len__(self) -> int:
         return len(self.y)
-
-    def __iter__(self) -> Iterator[PixelTerm]:
-        for y, x, color in zip(self.y.tolist(), self.x.tolist(), self.color.tolist()):
-            yield PixelTerm(y, x, color)
 
     def clip(self, n: int) -> "Terms":
         """The terms inside [0, 2^n) in both coordinates (these columns
@@ -125,13 +101,11 @@ class NEQRImage:
         return f"NEQRImage({self.side}x{self.side})"
 
     @classmethod
-    def from_terms(cls, n: int, terms: Terms | Iterable[PixelTerm]) -> "NEQRImage":
+    def from_terms(cls, n: int, terms: Terms) -> "NEQRImage":
         """Materialise in-frame terms onto a zero background.
 
         Terms outside [0, 2^n) in either coordinate are dropped (clipping).
         """
-        if not isinstance(terms, Terms):
-            terms = Terms.of(terms)
         kept = terms.clip(n)
         flat = kept.y << n
         flat |= kept.x

@@ -29,11 +29,12 @@ term comes closer than 2^(n-1) to the edge, so nothing is clipped.
 ``rotate`` and ``apply_shear`` are the one pipeline; they carry the terms
 as numpy columns (``neqr.Terms``).  Each shear phase runs on a pluggable
 backend, which drops the terms leaving the frame: ``SEMANTIC`` (the
-default) or the gate-level ``shear_netlists.NetlistBackend``.  ``SEMANTIC``
-states the four equations once, as ``line_steps`` on the array of frame
-lines, shifts every term by its line's step in one gather, and masks only
-the moved column, since the driver column does not change.  A backend
-refuses the requests it cannot run before any term is sheared.
+default) or the gate-level ``shear_netlists.NetlistBackend``.  ``line_steps``
+states the four equations once, on an array of frame lines; it is the one
+displacement rule, with no per-term twin.  ``SEMANTIC`` shifts every term
+by its line's step in one gather and masks only the moved column, since the
+driver column does not change.  A backend refuses the requests it cannot
+run before any term is sheared.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from typing import Protocol
 import numpy as np
 
 from .arithmetic import FixedPointValue
-from .neqr import NEQRImage, PixelTerm, Terms
+from .neqr import NEQRImage, Terms
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -159,14 +160,6 @@ def displacement(offset: int | np.ndarray, factor: FixedPointValue) -> int | np.
     if np.any(offset < 0):
         raise ValueError("offset must be non-negative")
     return (offset * factor.sixteenths + 8) // 16
-
-
-def shear_term(term: PixelTerm, spec: ShearSpec) -> PixelTerm:
-    """One term through ``line_steps``: the driver coordinate is unchanged,
-    the moved one shifts by its line's step."""
-    if spec.axis == HORIZONTAL:
-        return PixelTerm(term.y, term.x + int(line_steps(np.int64(term.y), spec)), term.color)
-    return PixelTerm(term.y + int(line_steps(np.int64(term.x), spec)), term.x, term.color)
 
 
 class PhaseBackend(Protocol):

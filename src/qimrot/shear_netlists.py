@@ -7,9 +7,10 @@ multiplier, rounding interpolation, coordinate update, uncomputation):
   require: two's-complement coordinate registers with two guard bits plus a
   sign bit, a 5-bit factor register (1 integer + 4 fraction bits) driving
   the multiplier stages, and a carry-free modular adder for the final
-  coordinate update.  ``NetlistBackend`` runs these term by term inside
-  ``shear.rotate``/``shear.apply_shear``, and they agree bit for bit with the
-  semantic engine.
+  coordinate update.  ``run_shear_phase`` takes and returns ``neqr.Terms``
+  columns and walks the netlist once per term; ``NetlistBackend`` runs it
+  inside ``shear.rotate``/``shear.apply_shear``, and it agrees bit for bit
+  with the semantic engine.
 
 * uniform-width netlists for the cost audit, where the two coordinate
   adders, the multiplier stage count, and the interpolation all share one
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .arithmetic import (
     emit_adder,
     emit_ctrl_multi,
@@ -35,7 +38,7 @@ from .arithmetic import (
     emit_modular_adder,
 )
 from .core import Netlist, NetlistBuilder, execute
-from .neqr import PixelTerm, Terms
+from .neqr import Terms
 from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
 
 #: Netlist execution walks every gate for every pixel term; above this frame
@@ -158,33 +161,33 @@ def build_shear_netlist(n: int, axis: str, sign: int, order: str = "tb") -> Netl
 # term-level execution driver
 
 
-def run_shear_phase(
-    terms: list[PixelTerm], n: int, spec: ShearSpec, order: str = "tb"
-) -> list[PixelTerm]:
+def run_shear_phase(terms: Terms, n: int, spec: ShearSpec, order: str = "tb") -> Terms:
     """Push every term through the gate-level shear; coordinates unclipped.
 
     Input terms must be in frame: the half dispatch reads a single register
-    bit, which identifies the half only for coordinates in [0, 2^n).
+    bit, which identifies the half only for coordinates in [0, 2^n).  The
+    driver and color columns pass through; the moved one is rebuilt.
     """
-    netlist = build_shear_netlist(n, spec.axis, spec.sign, order)
     side = 1 << n
-    moved_is_x = spec.axis == HORIZONTAL
+    # a negative coordinate reads as a huge unsigned one
+    outside = (terms.y.view(np.uint64) >= side) | (terms.x.view(np.uint64) >= side)
+    if outside.any():
+        i = int(outside.argmax())
+        raise NetlistModeError(
+            f"netlist execution needs in-frame terms, got ({terms.y[i]}, {terms.x[i]})"
+        )
+    netlist = build_shear_netlist(n, spec.axis, spec.sign, order)
+    horizontal = spec.axis == HORIZONTAL
+    register = "x" if horizontal else "y"
     width = n + COORD_EXTRA_BITS
     preload = netlist.state(q=spec.factor.sixteenths, med=spec.median)
-    out: list[PixelTerm] = []
-    for term in terms:
-        if not (0 <= term.y < side and 0 <= term.x < side):
-            raise NetlistModeError(
-                f"netlist execution needs in-frame terms, got ({term.y}, {term.x})"
-            )
-        state = preload | netlist.state(y=term.y, x=term.x)
-        moved = netlist.register_value(execute(netlist, state), "x" if moved_is_x else "y")
-        moved -= (moved >> (width - 1)) << width  # two's complement
-        if moved_is_x:
-            out.append(PixelTerm(term.y, moved, term.color))
-        else:
-            out.append(PixelTerm(moved, term.x, term.color))
-    return out
+    values = []
+    for y, x in zip(terms.y.tolist(), terms.x.tolist()):
+        state = execute(netlist, preload | netlist.state(y=y, x=x))
+        value = netlist.register_value(state, register)
+        values.append(value - ((value >> (width - 1)) << width))  # two's complement
+    moved = np.array(values, dtype=np.int64)
+    return Terms(terms.y, moved, terms.color) if horizontal else Terms(moved, terms.x, terms.color)
 
 
 class NetlistBackend:
@@ -200,7 +203,7 @@ class NetlistBackend:
         if spec.n > MAX_NETLIST_EXPONENT:
             raise NetlistModeError(
                 f"netlist mode is limited to frames up to {1 << MAX_NETLIST_EXPONENT} px "
-                f"a side (got {1 << spec.n}; the expand canvas's frame has 4x the "
+                f"a side (got {1 << spec.n}; on the expand canvas the frame is 4x the "
                 "image's side); use semantic mode for larger images"
             )
         if spec.factor.sixteenths >= 1 << _FACTOR_BITS:
@@ -210,7 +213,7 @@ class NetlistBackend:
             )
 
     def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
-        return Terms.of(run_shear_phase(list(terms), spec.n, spec, self.order)).clip(spec.n)
+        return run_shear_phase(terms, spec.n, spec, self.order).clip(spec.n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,15 @@ from qimrot.arithmetic import (
 )
 from qimrot.audit import measure, predict
 from qimrot.core import execute, invert, run
-from qimrot.neqr import PixelTerm, decode, encode
+from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate, oracle_shear
 from qimrot.patterns import checkerboard, gradient, random_raster
 from qimrot.shear import (
     RotationSpec,
     ShearSpec,
     apply_shear,
+    line_steps,
     rotate,
-    shear_term,
 )
 from qimrot.shear_netlists import NetlistBackend, run_shear_phase
 
@@ -116,8 +116,7 @@ def test_criterion_2_worked_examples():
     assert run(build_ctrl_multi(4, 5), a=0b10101, x=0b1011, ctrl=1)["p"] == 0b11100111
     assert run(build_interpolation(4), a=0b1010, frac=0b1010)["a"] == 0b1011
     spec = ShearSpec("horizontal", FixedPointValue(16), 1, 2)
-    displacements = [abs(shear_term(PixelTerm(y, 2, 1), spec).x - 2) for y in range(4)]
-    assert displacements == [2, 1, 0, 1]
+    assert np.abs(line_steps(np.arange(4), spec)).tolist() == [2, 1, 0, 1]
 
 
 @criterion(3, "gate-count closed forms, zero tolerance")
@@ -187,17 +186,15 @@ def test_criterion_5_properties():
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
         spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
-        landed = set()
-        shifts = {}
-        for y in range(side):
-            for x in range(side):
-                out = shear_term(PixelTerm(y, x, 1), spec)
-                landed.add((out.y, out.x))
-                line = y if axis == "horizontal" else x
-                delta = out.x - x if axis == "horizontal" else out.y - y
-                shifts.setdefault(line, set()).add(delta)
-        assert len(landed) == side * side            # injective before clipping
-        assert all(len(s) == 1 for s in shifts.values())  # rigid lines
+        terms = encode(np.zeros((side, side), dtype=np.uint8)).terms()
+        horizontal = axis == "horizontal"
+        driver, moved = (terms.y, terms.x) if horizontal else (terms.x, terms.y)
+        landed = moved + line_steps(driver, spec)
+        pairs = zip(driver.tolist(), landed.tolist())
+        assert len(set(pairs)) == side * side            # injective before clipping
+        shifts = (landed - moved).reshape(side, side)    # indexed [y, x]
+        lines = shifts if horizontal else shifts.T
+        assert (lines == lines[:, :1]).all()             # rigid lines
 
     # order independence of the half dispatch (gate path)
     for _ in range(100):
@@ -206,11 +203,14 @@ def test_criterion_5_properties():
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
         spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
-        terms = [
-            PixelTerm(rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(256))
-            for _ in range(8)
+        rows = [
+            (rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(256)) for _ in range(8)
         ]
-        assert run_shear_phase(terms, n, spec, "tb") == run_shear_phase(terms, n, spec, "bt")
+        y, x, color = np.array(rows, dtype=np.int64).T
+        terms = Terms(y, x, color.astype(np.uint8))
+        tb, bt = run_shear_phase(terms, n, spec, "tb"), run_shear_phase(terms, n, spec, "bt")
+        assert np.array_equal(tb.y, bt.y) and np.array_equal(tb.x, bt.x)
+        assert np.array_equal(tb.color, bt.color)
 
     # zero-angle identity
     for _ in range(100):
@@ -238,15 +238,11 @@ def test_criterion_6_no_blocking_or_blurring():
         axis = rng.choice(["horizontal", "vertical"])
         spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
         out = decode(apply_shear(encode(raster), spec))
-        for line in range(side):
+        for line, shift in enumerate(line_steps(np.arange(side), spec)):
             if axis == "horizontal":
                 src, dst = raster[line], out[line]
-                probe = shear_term(PixelTerm(line, 0, 0), spec)
-                shift = probe.x
             else:
                 src, dst = raster[:, line], out[:, line]
-                probe = shear_term(PixelTerm(0, line, 0), spec)
-                shift = probe.y
             kept = [int(v) for i, v in enumerate(src) if 0 <= i + shift < side]
             assert Counter(int(v) for v in dst) == Counter(kept) + Counter(
                 {0: side - len(kept)}

@@ -246,12 +246,14 @@ class TestErrorExits:
         assert invoke(argv) == EXIT_DOMAIN
 
     @pytest.mark.parametrize("size", ["128", "12", "3"])
-    def test_verify_size_refused_before_the_image_is_built(self, monkeypatch, size):
+    def test_verify_size_refused_before_the_image_is_built(self, monkeypatch, capsys, size):
         def no_checkerboard(*args, **kwargs):
             raise AssertionError("checkerboard built before the refusal")
 
         monkeypatch.setattr(cli.patterns, "checkerboard", no_checkerboard)
         assert invoke(["verify", "--angle", "30", "--size", size]) == EXIT_DOMAIN
+        # verify runs on the clip canvas, so the reason must not blame the expand frame
+        assert "the expand canvas's frame" not in capsys.readouterr().err
 
     def test_verify_has_no_mode_option(self):
         with pytest.raises(SystemExit) as exc:

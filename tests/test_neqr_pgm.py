@@ -4,29 +4,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qimrot.neqr import ImageFormatError, NEQRImage, PixelTerm, Terms, decode, encode
+from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode
 from qimrot.pgm import read_pgm, write_pgm
+
+
+def make_terms(y, x, color):
+    return Terms(np.array(y, dtype=np.int64), np.array(x, dtype=np.int64),
+                 np.array(color, dtype=np.uint8))
+
+
+def columns(terms):
+    return terms.y.tolist(), terms.x.tolist(), terms.color.tolist()
 
 
 class TestCodec:
     def test_all_zero_2x2(self):
         img = encode(np.zeros((2, 2), dtype=np.uint8))
-        terms = list(img.terms())
-        assert len(terms) == 4
-        assert all(t.color == 0 for t in terms)
+        assert columns(img.terms()) == ([0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0])
 
     def test_2x2_term_set(self):
         img = encode(np.array([[0, 100], [200, 255]]))
-        assert set(img.terms()) == {
-            PixelTerm(0, 0, 0), PixelTerm(0, 1, 100),
-            PixelTerm(1, 0, 200), PixelTerm(1, 1, 255),
-        }
+        assert columns(img.terms()) == ([0, 0, 1, 1], [0, 1, 0, 1], [0, 100, 200, 255])
         assert np.array_equal(decode(img), [[0, 100], [200, 255]])
 
     def test_single_pixel_image(self):
         img = encode(np.array([[42]]))
         assert img.n == 0
-        assert list(img.terms()) == [PixelTerm(0, 0, 42)]
+        assert columns(img.terms()) == ([0], [0], [42])
 
     def test_all_255_round_trip(self):
         r = np.full((8, 8), 255, dtype=np.uint8)
@@ -41,7 +45,7 @@ class TestCodec:
     def test_term_count_is_4_to_the_n(self, n):
         side = 1 << n
         img = encode(np.zeros((side, side), dtype=np.uint8))
-        assert sum(1 for _ in img.terms()) == 4 ** n
+        assert len(img.terms()) == 4 ** n
 
     def test_rejects_non_square(self):
         with pytest.raises(ImageFormatError):
@@ -58,8 +62,7 @@ class TestCodec:
             encode(np.array([[-1, 0], [0, 0]]))
 
     def test_from_terms_clips(self):
-        img = NEQRImage.from_terms(1, [PixelTerm(0, 0, 9), PixelTerm(0, 5, 7),
-                                       PixelTerm(-1, 1, 8)])
+        img = NEQRImage.from_terms(1, make_terms([0, 0, -1], [0, 5, 1], [9, 7, 8]))
         assert np.array_equal(decode(img), [[9, 0], [0, 0]])
 
 
@@ -74,22 +77,16 @@ class TestTerms:
         assert terms.x.tolist() == [3, 4, 3, 4]
         assert terms.color.tolist() == [5, 6, 7, 8]
 
-    def test_of_round_trips_pixel_terms(self):
-        pixel_terms = [PixelTerm(0, -3, 9), PixelTerm(7, 1, 255)]
-        assert list(Terms.of(pixel_terms)) == pixel_terms
-        assert len(Terms.of([])) == 0
-
     def test_clip_keeps_in_frame_terms_in_order(self):
-        terms = Terms.of([PixelTerm(1, 1, 1), PixelTerm(-1, 0, 2), PixelTerm(0, 2, 3),
-                          PixelTerm(0, 0, 4), PixelTerm(2, 1, 5)])
-        assert list(terms.clip(1)) == [PixelTerm(1, 1, 1), PixelTerm(0, 0, 4)]
+        mixed = make_terms([1, -1, 0, 0, 2], [1, 0, 2, 0, 1], [1, 2, 3, 4, 5])
+        assert columns(mixed.clip(1)) == ([1, 0], [1, 0], [1, 4])
 
     def test_clipped_terms_are_not_masked_again(self):
-        terms = Terms.of([PixelTerm(1, 1, 1), PixelTerm(-1, 0, 2)])
-        kept = terms.clip(1)
+        mixed = make_terms([1, -1], [1, 0], [1, 2])
+        kept = mixed.clip(1)
         assert kept.clip(1) is kept and kept.clip(2) is kept
-        assert list(kept.clip(0)) == []
-        assert terms.frame is None  # clipping leaves its input as it was
+        assert len(kept.clip(0)) == 0
+        assert mixed.frame is None  # clipping leaves its input as it was
 
 
 class TestPgm:

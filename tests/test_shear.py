@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimrot.arithmetic import FixedPointValue
-from qimrot.neqr import PixelTerm, Terms, decode, encode
+from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import rotation_coordinate_map
 from qimrot.patterns import random_raster, row_bands
 from qimrot.shear import (
@@ -23,7 +23,6 @@ from qimrot.shear import (
     expanded_canvas_params,
     line_steps,
     rotate,
-    shear_term,
 )
 from qimrot.shear_netlists import NetlistBackend
 
@@ -50,77 +49,59 @@ def assert_rotation_round_trip(raster, theta, backend):
 
 def reference_shear(terms, spec):
     """The module docstring's four half equations, term by term in Python
-    ints, unsaturated: the reference the array rule is checked against."""
+    ints, unsaturated: the reference the array rule is checked against.
+
+    Takes ``Terms``; returns the y, x and color columns as lists, since an
+    unsaturated coordinate can leave int64.
+    """
     mid, q16, sign = 1 << (spec.n - 1), spec.factor.sixteenths, spec.sign
 
     def d(offset):
         return (offset * q16 + 8) // 16
 
-    out = []
-    for t in terms:
-        if spec.axis == HORIZONTAL:
-            x = t.x - sign * d(mid - t.y) if t.y < mid else t.x + sign * d(t.y - mid)
-            out.append(PixelTerm(t.y, x, t.color))
-        else:
-            y = t.y + sign * d(mid - t.x) if t.x < mid else t.y - sign * d(t.x - mid)
-            out.append(PixelTerm(y, t.x, t.color))
-    return out
+    ys, xs = terms.y.tolist(), terms.x.tolist()
+    if spec.axis == HORIZONTAL:
+        xs = [x - sign * d(mid - y) if y < mid else x + sign * d(y - mid) for y, x in zip(ys, xs)]
+    else:
+        ys = [y + sign * d(mid - x) if x < mid else y - sign * d(x - mid) for y, x in zip(ys, xs)]
+    return ys, xs, terms.color.tolist()
 
 
 class TestHalfShears:
     def test_4x4_factor_one_row_displacements(self):
-        spec = hspec(16, 2)
-        shifts = []
-        for y in range(4):
-            term = PixelTerm(y, 2, 1)
-            shifts.append(shear_term(term, spec).x - 2)
-        assert shifts == [-2, -1, 0, 1]
+        assert line_steps(np.arange(4), hspec(16, 2)).tolist() == [-2, -1, 0, 1]
 
     def test_zero_factor_leaves_x(self):
-        spec = hspec(0, 3)
-        for y in range(8):
-            assert shear_term(PixelTerm(y, 3, 9), spec) == PixelTerm(y, 3, 9)
+        assert line_steps(np.arange(8), hspec(0, 3)).tolist() == [0] * 8
 
     def test_8x8_30_degree_top_row(self):
         # q = round(tan 15deg * 16)/16 = 4/16; offset 4 gives round(4 * 4/16) = 1
         spec = ShearSpec.for_angle("horizontal", 30, 3)
         assert spec.factor.sixteenths == 4
-        out = shear_term(PixelTerm(0, 5, 1), spec)
-        assert out.x == 5 - 1
+        assert line_steps(np.array([0]), spec).tolist() == [-1]
 
     def test_bottom_reference_row_fixed(self):
-        spec = hspec(16, 3)
-        assert shear_term(PixelTerm(4, 6, 1), spec).x == 6
+        assert line_steps(np.array([4]), hspec(16, 3)).tolist() == [0]
 
     def test_8x8_factor_one_bottom_rows_shift_rigidly(self):
         # at q = 1 every bottom row y moves right by exactly y - 4
-        spec = hspec(16, 3)
-        for y in range(4, 8):
-            for x in range(8):
-                assert shear_term(PixelTerm(y, x, 1), spec).x == x + (y - 4)
+        assert line_steps(np.arange(4, 8), hspec(16, 3)).tolist() == [0, 1, 2, 3]
 
     def test_8x8_vertical_30_degree_left_column(self):
         # q = round(sin 30deg * 16)/16 = 8/16; offset 4 gives round(4 * 0.5) = 2
         spec = ShearSpec.for_angle("vertical", 30, 3)
         assert spec.factor.sixteenths == 8
-        assert shear_term(PixelTerm(1, 0, 1), spec).y == 1 + 2
+        assert line_steps(np.array([0]), spec).tolist() == [2]
 
     def test_4x4_vertical_factor_one_column_displacements(self):
-        spec = vspec(16, 2)
-        assert shear_term(PixelTerm(1, 0, 1), spec).y == 1 + 2
-        assert shear_term(PixelTerm(1, 1, 1), spec).y == 1 + 1
-        assert shear_term(PixelTerm(1, 2, 1), spec).y == 1
-        assert shear_term(PixelTerm(1, 3, 1), spec).y == 1 - 1
+        assert line_steps(np.arange(4), vspec(16, 2)).tolist() == [2, 1, 0, -1]
 
     def test_reference_column_fixed(self):
-        spec = vspec(16, 2)
-        assert shear_term(PixelTerm(3, 2, 1), spec).y == 3
+        assert line_steps(np.array([2]), vspec(16, 2)).tolist() == [0]
 
     def test_negative_sign_flips_directions(self):
-        plus, minus = hspec(16, 2, sign=1), hspec(16, 2, sign=-1)
-        term = PixelTerm(0, 2, 1)
-        assert shear_term(term, plus).x == 0
-        assert shear_term(term, minus).x == 4
+        assert line_steps(np.array([0]), hspec(16, 2, sign=1)).tolist() == [-2]
+        assert line_steps(np.array([0]), hspec(16, 2, sign=-1)).tolist() == [2]
 
     def test_displacement_rounds_half_up(self):
         assert displacement(1, FixedPointValue(8)) == 1  # 0.5 -> 1
@@ -152,14 +133,12 @@ class TestApplyShear:
     )
     def test_rigid_row_shifts(self, raster, q16, sign):
         """Every row moves as one block: the per-row map is x -> x + d(y)."""
-        img = encode(raster)
-        spec = hspec(q16, 4, sign)
-        moved = {}
-        for term in img.terms():
-            out = shear_term(term, spec)
-            assert out.y == term.y and out.color == term.color
-            moved.setdefault(term.y, set()).add(out.x - term.x)
-        assert all(len(shifts) == 1 for shifts in moved.values())
+        exponent, offset = expanded_canvas_params(4)  # a frame no term leaves
+        terms = encode(raster).terms(offset)
+        out = SEMANTIC.shear(terms, hspec(q16, exponent, sign))
+        assert np.array_equal(out.y, terms.y) and np.array_equal(out.color, terms.color)
+        shifts = (out.x - terms.x).reshape(16, 16)
+        assert (shifts == shifts[:, :1]).all()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -170,22 +149,21 @@ class TestApplyShear:
     def test_injective_before_clipping(self, q16, sign, axis_vertical):
         n = 3
         spec = vspec(q16, n, sign) if axis_vertical else hspec(q16, n, sign)
-        img = encode(np.zeros((8, 8), dtype=np.uint8))
-        landed = [
-            (t.y, t.x) for t in (shear_term(term, spec) for term in img.terms())
-        ]
-        assert len(set(landed)) == len(landed)
+        terms = encode(np.zeros((8, 8), dtype=np.uint8)).terms()
+        driver, moved = (terms.x, terms.y) if axis_vertical else (terms.y, terms.x)
+        landed = moved + line_steps(driver, spec)  # unclipped
+        assert len(set(zip(driver.tolist(), landed.tolist()))) == 8 * 8
 
     def test_half_antisymmetry_of_displacements(self):
         n, side = 4, 16
         spec = hspec(11, n)
         mid = 1 << (n - 1)
+        steps = line_steps(np.arange(side), spec)
         for y in range(mid):
             mirror = side - 1 - y
             if (mid - y) != (mirror - mid):
                 continue
-            d_top = shear_term(PixelTerm(y, 8, 1), spec).x - 8
-            d_bot = shear_term(PixelTerm(mirror, 8, 1), spec).x - 8
+            d_top, d_bot = steps[y], steps[mirror]
             assert abs(d_top) == abs(d_bot)
             if d_top:
                 assert d_top == -d_bot
@@ -202,8 +180,7 @@ class TestApplyShear:
         img = encode(raster)
         spec = hspec(q16, 4, sign)
         out = decode(apply_shear(img, spec))
-        for y in range(side):
-            d = shear_term(PixelTerm(y, 0, 0), spec).x  # row shift, x-independent
+        for y, d in enumerate(line_steps(np.arange(side), spec)):
             kept = [raster[y, x] for x in range(side) if 0 <= x + d < side]
             vacated = side - len(kept)
             assert Counter(out[y]) == Counter(kept) + Counter({0: vacated})
@@ -226,7 +203,7 @@ class TestSemanticBackend:
     @example(n=4, axis=VERTICAL, canvas="expand", factor=-3e18, seed=3)
     @example(n=7, axis=HORIZONTAL, canvas="expand", factor=1e308, seed=4)
     @example(n=7, axis=VERTICAL, canvas="clip", factor=-1e308, seed=4)
-    def test_line_table_shear_is_shear_term_on_every_term(self, n, axis, canvas, factor, seed):
+    def test_line_table_shear_is_the_reference_on_every_term(self, n, axis, canvas, factor, seed):
         """The array rule gives every term the reference loop's step, saturated
         at +-side, and the semantic backend keeps exactly the reference's
         in-frame terms, in order."""
@@ -234,15 +211,18 @@ class TestSemanticBackend:
         side = 1 << exponent
         spec = ShearSpec.from_factor(axis, factor, exponent)
         terms = encode(random_raster(1 << n, seed=seed)).terms(offset)
-        reference = reference_shear(terms, spec)
-        steps = line_steps(terms.y if axis == HORIZONTAL else terms.x, spec)
+        ref_y, ref_x, ref_color = reference_shear(terms, spec)
+        horizontal = axis == HORIZONTAL
+        moved, ref_moved = (terms.x, ref_x) if horizontal else (terms.y, ref_y)
+        steps = line_steps(terms.y if horizontal else terms.x, spec)
         assert steps.tolist() == [
-            max(-side, min(side, (r.x - t.x) + (r.y - t.y)))  # one of them is 0
-            for t, r in zip(terms, reference)
+            max(-side, min(side, r - m)) for m, r in zip(moved.tolist(), ref_moved)
         ]
-        assert list(SEMANTIC.shear(terms, spec)) == [
-            r for r in reference if 0 <= r.y < side and 0 <= r.x < side
-        ]
+        kept = [i for i, (y, x) in enumerate(zip(ref_y, ref_x)) if 0 <= y < side and 0 <= x < side]
+        out = SEMANTIC.shear(terms, spec)
+        assert out.y.tolist() == [ref_y[i] for i in kept]
+        assert out.x.tolist() == [ref_x[i] for i in kept]
+        assert out.color.tolist() == [ref_color[i] for i in kept]
 
     # at expand, 0.3 drops no term, so a shear's output shares its driver column
     @pytest.mark.parametrize("factor", [0.3, -0.9, 5.0])
@@ -263,11 +243,12 @@ class TestSemanticBackend:
         rotate(img, RotationSpec(np.degrees(np.arctan(factor))), canvas)
         assert np.array_equal(img.raster(), raster)
 
-    def test_dtypes_survive_clip_and_terms_of(self):
-        terms = Terms.of([PixelTerm(0, -3, 9), PixelTerm(7, 1, 255)])
-        for columns in (terms, terms.clip(3)):
-            assert columns.y.dtype == columns.x.dtype == np.int64
-            assert columns.color.dtype == np.uint8
+    def test_dtypes_survive_clip(self):
+        y, x = np.array([0, 7], dtype=np.int64), np.array([-3, 1], dtype=np.int64)
+        kept = Terms(y, x, np.array([9, 255], dtype=np.uint8)).clip(3)
+        assert kept.y.dtype == kept.x.dtype == np.int64
+        assert kept.color.dtype == np.uint8
+        assert kept.x.tolist() == [1]
 
 
 class TestRotate:

@@ -10,7 +10,7 @@ from qimrot import arithmetic, shear, shear_netlists
 from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
 from qimrot.core import core_and_overhead_cost, cost, dump_netlist, run
-from qimrot.neqr import PixelTerm, decode, encode
+from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import oracle_rotate, oracle_shear
 from qimrot.patterns import random_raster
 from qimrot.shear import (
@@ -19,8 +19,8 @@ from qimrot.shear import (
     ShearSpec,
     apply_shear,
     expanded_canvas_params,
+    line_steps,
     rotate,
-    shear_term,
 )
 from qimrot.shear_netlists import (
     MAX_NETLIST_EXPONENT,
@@ -39,15 +39,33 @@ def spec_for(axis, q16, sign, n):
     return ShearSpec(axis, FixedPointValue(q16), sign, n)
 
 
+def columns(terms):
+    return terms.y.tolist(), terms.x.tolist(), terms.color.tolist()
+
+
+def frame_terms(n):
+    """Every term of the 2^n frame, each with its own color."""
+    side = 1 << n
+    return encode(np.arange(side * side, dtype=np.uint8).reshape(side, side)).terms()
+
+
+# n=3 takes every factor the netlist backend accepts, 0..31 sixteenths
 @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("q16", [0, 4, 7, 8, 11, 16])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "n, q16", [(2, q16) for q16 in (0, 4, 7, 8, 11, 16)] + [(3, q16) for q16 in range(32)]
+)
 def test_gate_path_matches_semantic_shears_exhaustively(n, q16, sign, axis):
-    side = 1 << n
     spec = spec_for(axis, q16, sign, n)
-    terms = [PixelTerm(y, x, 1) for y in range(side) for x in range(side)]
-    assert run_shear_phase(terms, n, spec) == [shear_term(t, spec) for t in terms]
+    terms = frame_terms(n)
+    out = run_shear_phase(terms, n, spec)
+    horizontal = axis == "horizontal"
+    driver, moved = (terms.y, terms.x) if horizontal else (terms.x, terms.y)
+    out_driver, out_moved = (out.y, out.x) if horizontal else (out.x, out.y)
+    assert out_moved.dtype == np.int64
+    assert out_moved.tolist() == (moved + line_steps(driver, spec)).tolist()  # unclipped
+    assert np.array_equal(out_driver, driver)
+    assert np.array_equal(out.color, terms.color)
 
 
 def test_working_registers_restored_on_every_input():
@@ -68,25 +86,10 @@ def test_wrong_half_segment_is_exact_passthrough():
     # which is what makes the two-segment netlist order independent
     n = 3
     spec = spec_for("horizontal", 16, 1, n)
-    terms = [PixelTerm(y, x, 1) for y in range(8) for x in range(8)]
-    assert run_shear_phase(terms, n, spec, order="tb") == run_shear_phase(
-        terms, n, spec, order="bt"
+    terms = frame_terms(n)
+    assert columns(run_shear_phase(terms, n, spec, order="tb")) == columns(
+        run_shear_phase(terms, n, spec, order="bt")
     )
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    q16=st.integers(min_value=0, max_value=16),
-    sign=st.sampled_from([1, -1]),
-    y=st.integers(min_value=0, max_value=7),
-    x=st.integers(min_value=0, max_value=7),
-    vertical=st.booleans(),
-)
-def test_gate_path_matches_semantic_shears_random(q16, sign, y, x, vertical):
-    n = 3
-    spec = spec_for("vertical" if vertical else "horizontal", q16, sign, n)
-    term = PixelTerm(y, x, 200)
-    assert run_shear_phase([term], n, spec) == [shear_term(term, spec)]
 
 
 @pytest.mark.parametrize("theta", [30, 45, -30])
@@ -253,8 +256,10 @@ def test_netlist_shear_matches_semantic_and_oracle_or_refuses(n, vertical, facto
 
 def test_out_of_frame_terms_rejected():
     spec = spec_for("horizontal", 8, 1, 2)
-    with pytest.raises(NetlistModeError):
-        run_shear_phase([PixelTerm(5, 0, 1)], 2, spec)
+    y, x = np.array([1, 0, 5], dtype=np.int64), np.array([1, -1, 0], dtype=np.int64)
+    terms = Terms(y, x, np.zeros(3, dtype=np.uint8))
+    with pytest.raises(NetlistModeError, match=r"got \(0, -1\)"):
+        run_shear_phase(terms, 2, spec)
 
 
 def test_netlists_are_cached_per_parameters():
