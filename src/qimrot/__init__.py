@@ -24,6 +24,7 @@ from .core import (
     cost,
     dump_netlist,
     execute,
+    execute_lanes,
     invert,
     run,
 )

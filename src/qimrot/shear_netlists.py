@@ -8,9 +8,10 @@ multiplier, rounding interpolation, coordinate update, uncomputation):
   sign bit, a 5-bit factor register (1 integer + 4 fraction bits) driving
   the multiplier stages, and a carry-free modular adder for the final
   coordinate update.  ``run_shear_phase`` takes and returns ``neqr.Terms``
-  columns and walks the netlist once per term; ``NetlistBackend`` runs it
-  inside ``shear.rotate``/``shear.apply_shear``, and it agrees bit for bit
-  with the semantic engine.
+  columns and runs the netlist once per phase, with one bit-sliced lane per
+  term (``core.execute_lanes``); ``NetlistBackend`` runs it inside
+  ``shear.rotate``/``shear.apply_shear`` on frames up to 2^9, and it agrees
+  bit for bit with the semantic engine.
 
 * uniform-width netlists for the cost audit, where the two coordinate
   adders, the multiplier stage count, and the interpolation all share one
@@ -37,13 +38,15 @@ from .arithmetic import (
     emit_interpolation,
     emit_modular_adder,
 )
-from .core import Netlist, NetlistBuilder, execute
+from .core import Netlist, NetlistBuilder, execute_lanes
 from .neqr import Terms
 from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
 
-#: Netlist execution walks every gate for every pixel term; above this frame
-#: exponent the pure-Python walk stops being interactive.
-MAX_NETLIST_EXPONENT = 6
+#: The largest frame exponent netlist mode runs: 2^9, the paper's 512x512 on
+#: the clip canvas (128x128 images on the expand canvas's 4x frame).  A phase
+#: walks the netlist once with one bit-sliced lane per term, so its time and
+#: the memory its wires hold (one 4^n-bit int each) grow about 4x per step.
+MAX_NETLIST_EXPONENT = 9
 
 #: Guard bits + sign added to coordinate registers.  The factor register
 #: bounds the displacement, |d| <= round(2^(n-1) * 31/16) <= 2^n, so an
@@ -164,6 +167,8 @@ def build_shear_netlist(n: int, axis: str, sign: int, order: str = "tb") -> Netl
 def run_shear_phase(terms: Terms, n: int, spec: ShearSpec, order: str = "tb") -> Terms:
     """Push every term through the gate-level shear; coordinates unclipped.
 
+    One netlist walk for the whole phase: each term is one lane, loaded from
+    the ``y``/``x`` columns, with ``q`` and ``med`` the same in every lane.
     Input terms must be in frame: the half dispatch reads a single register
     bit, which identifies the half only for coordinates in [0, 2^n).  The
     driver and color columns pass through; the moved one is rebuilt.
@@ -180,18 +185,14 @@ def run_shear_phase(terms: Terms, n: int, spec: ShearSpec, order: str = "tb") ->
     horizontal = spec.axis == HORIZONTAL
     register = "x" if horizontal else "y"
     width = n + COORD_EXTRA_BITS
-    preload = netlist.state(q=spec.factor.sixteenths, med=spec.median)
-    values = []
-    for y, x in zip(terms.y.tolist(), terms.x.tolist()):
-        state = execute(netlist, preload | netlist.state(y=y, x=x))
-        value = netlist.register_value(state, register)
-        values.append(value - ((value >> (width - 1)) << width))  # two's complement
-    moved = np.array(values, dtype=np.int64)
+    inputs = {"y": terms.y, "x": terms.x, "q": spec.factor.sixteenths, "med": spec.median}
+    value = execute_lanes(netlist, len(terms), inputs, (register,))[register]
+    moved = value - ((value >> (width - 1)) << width)  # two's complement
     return Terms(terms.y, moved, terms.color) if horizontal else Terms(moved, terms.x, terms.color)
 
 
 class NetlistBackend:
-    """Phase backend executing the gate-level shear netlist per term.
+    """Phase backend executing the gate-level shear netlist on every term.
 
     The one place that refuses what gate-level execution cannot run.
     """

@@ -273,9 +273,13 @@ def test_criterion_8_rotation_at_paper_scale():
     image = encode(raster)
     for theta in (30, 45, 60):
         result = rotate(image, RotationSpec(theta))
+        gates = rotate(image, RotationSpec(theta), backend=NetlistBackend())
         tan_half, sin_full = math.tan(math.radians(theta) / 2), math.sin(math.radians(theta))
         phase1 = oracle_shear(raster, "horizontal", tan_half)
         phase2 = oracle_shear(phase1, "vertical", sin_full)
         assert np.array_equal(decode(result.phase1), phase1), theta
         assert np.array_equal(decode(result.phase2), phase2), theta
         assert np.array_equal(decode(result.final), oracle_rotate(raster, theta)), theta
+        assert (gates.phase1, gates.phase2, gates.final) == (
+            result.phase1, result.phase2, result.final
+        ), theta

@@ -133,6 +133,25 @@ def test_verify_reports_pass(capsys):
     assert "ideal-rotation agreement" in out
 
 
+def test_verify_runs_at_the_paper_scale(capsys):
+    assert invoke(["verify", "--angle", "30", "--size", "512"]) == EXIT_OK
+    assert "netlist == semantic == oracle: PASS" in capsys.readouterr().out
+
+
+def test_netlist_expand_runs_on_the_widest_frame(tmp_path):
+    # a 128x128 image on the 2^9 expand frame, the largest netlist mode runs
+    src = str(tmp_path / "in128.pgm")
+    write_pgm(src, random_raster(128, seed=33))
+    outs = []
+    for mode in ("semantic", "netlist"):
+        out = str(tmp_path / f"{mode}.pgm")
+        assert invoke(["rotate", "--input", src, "--output", out, "--angle", "30",
+                       "--mode", mode, "--canvas", "expand"]) == EXIT_OK
+        outs.append(read_pgm(out))
+    assert outs[0].shape == (512, 512)
+    assert np.array_equal(outs[0], outs[1])
+
+
 def test_verify_accepts_input_file(tmp_path, image_file, capsys):
     assert invoke(["verify", "--angle", "45", "--input", image_file]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
@@ -175,15 +194,15 @@ class TestErrorExits:
 
     def test_netlist_mode_size_limit(self, tmp_path):
         src = str(tmp_path / "big.pgm")
-        write_pgm(src, np.zeros((128, 128), dtype=np.uint8))
+        write_pgm(src, np.zeros((1024, 1024), dtype=np.uint8))
         out = str(tmp_path / "x.pgm")
         assert invoke(["rotate", "--input", src, "--output", out,
                        "--angle", "30", "--mode", "netlist"]) == EXIT_DOMAIN
 
     def test_netlist_mode_rejects_expand_canvas(self, tmp_path):
-        # a 32x32 image needs a 2^7 expand frame, beyond the netlist limit
-        src = str(tmp_path / "in32.pgm")
-        write_pgm(src, random_raster(32, seed=32))
+        # a 256x256 image needs a 2^10 expand frame, beyond the netlist limit
+        src = str(tmp_path / "in256.pgm")
+        write_pgm(src, random_raster(256, seed=32))
         out = tmp_path / "x.pgm"
         assert invoke(["rotate", "--input", src, "--output", str(out),
                        "--angle", "30", "--mode", "netlist",
@@ -237,7 +256,7 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--angle", "30", "--size", "-4"],
-        ["verify", "--angle", "30", "--size", "128"],  # beyond the netlist frame limit
+        ["verify", "--angle", "30", "--size", "1024"],  # beyond the netlist frame limit
         ["audit", "--n-min", "0"],
         ["audit", "--m-min", "3"],
         ["audit", "--n-min", "5", "--n-max", "2"],
@@ -245,7 +264,7 @@ class TestErrorExits:
     def test_parameter_out_of_domain(self, argv):
         assert invoke(argv) == EXIT_DOMAIN
 
-    @pytest.mark.parametrize("size", ["128", "12", "3"])
+    @pytest.mark.parametrize("size", ["1024", "12", "3"])
     def test_verify_size_refused_before_the_image_is_built(self, monkeypatch, capsys, size):
         def no_checkerboard(*args, **kwargs):
             raise AssertionError("checkerboard built before the refusal")

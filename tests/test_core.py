@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,12 @@ from qimrot.core import (
     cost,
     dump_netlist,
     execute,
+    execute_lanes,
     invert,
     run,
 )
 from qimrot.arithmetic import build_adder, build_ctrl_multi, build_interpolation, build_self_adder
+from qimrot.shear_netlists import build_shear_netlist
 
 
 def single_not_netlist():
@@ -178,3 +181,103 @@ def test_dump_marks_control_on_zero():
     nb.register("c", 1)
     nb.cx(1, 2, on=0)
     assert dump_netlist(nb.build()) == "CNOT c[0] !y[1]"
+
+
+# ---------------------------------------------------------------------------
+# bit-sliced execution against the single-state reference
+
+
+@st.composite
+def random_netlists(draw):
+    """A few registers and up to 40 gates of every kind, with mixed polarities."""
+    nb = NetlistBuilder()
+    for name in ("a", "b", "c")[: draw(st.integers(1, 3))]:
+        nb.register(name, draw(st.integers(1, 4)))
+    wires = len(nb.build().labels)
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from([0, 1, 2][: wires]))
+        picked = draw(st.permutations(range(wires)))[: kind + 1]
+        polarity = [draw(st.integers(0, 1)) for _ in range(kind)]
+        if kind == 0:
+            nb.x(picked[0])
+        elif kind == 1:
+            nb.cx(picked[1], picked[0], on=polarity[0])
+        else:
+            nb.ccx(picked[1], picked[2], picked[0], on1=polarity[0], on2=polarity[1])
+    return nb.build()
+
+
+def image_netlists():
+    return st.builds(
+        build_shear_netlist,
+        n=st.integers(1, 3),
+        axis=st.sampled_from(["horizontal", "vertical"]),
+        sign=st.sampled_from([1, -1]),
+        order=st.sampled_from(["tb", "bt"]),
+    )
+
+
+def assert_lanes_match_execute(netlist, lanes, data):
+    """Random per-lane columns, constants or nothing per register; every
+    lane must end where ``execute`` takes its own state."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inputs = {}
+    for name, ids in netlist.registers.items():
+        how = data.draw(st.sampled_from(["column", "constant", "absent"]))
+        if how == "column":
+            inputs[name] = rng.integers(0, 1 << len(ids), lanes, dtype=np.int64)
+        elif how == "constant":
+            inputs[name] = data.draw(st.sampled_from([0, (1 << len(ids)) - 1]))
+    out = execute_lanes(netlist, lanes, inputs, netlist.registers)
+    for name in netlist.registers:
+        assert out[name].dtype == np.int64 and out[name].shape == (lanes,)
+    for i in range(lanes):
+        start = {k: int(v[i]) if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
+        want = run(netlist, **start)
+        assert {name: int(col[i]) for name, col in out.items()} == want, i
+
+
+LANE_COUNTS = st.sampled_from([0, 1, 63, 64, 65])
+
+
+@settings(max_examples=60, deadline=None)
+@given(netlist=random_netlists(), lanes=LANE_COUNTS, data=st.data())
+def test_lanes_match_execute_on_random_netlists(netlist, lanes, data):
+    assert_lanes_match_execute(netlist, lanes, data)
+
+
+@settings(max_examples=10, deadline=None)
+@given(netlist=image_netlists(), lanes=LANE_COUNTS, data=st.data())
+def test_lanes_match_execute_on_image_netlists(netlist, lanes, data):
+    assert_lanes_match_execute(netlist, lanes, data)
+
+
+class TestLaneInputErrors:
+    def test_column_value_outside_register_width(self):
+        nl = build_adder(2)
+        for bad in (4, -1):
+            column = np.array([1, bad, 2], dtype=np.int64)
+            with pytest.raises(ValueError, match=f"value {bad} does not fit register 'a' of width 2"):
+                execute_lanes(nl, 3, {"a": column}, ["b"])
+
+    def test_constant_outside_register_width(self):
+        nl = build_adder(2)
+        with pytest.raises(ValueError) as lanes_error:
+            execute_lanes(nl, 3, {"a": 8}, ["b"])
+        with pytest.raises(ValueError) as state_error:
+            nl.state(a=8)
+        assert str(lanes_error.value) == str(state_error.value)
+
+    def test_unknown_register(self):
+        with pytest.raises(CircuitStructureError, match="no register named 'z'"):
+            execute_lanes(build_adder(2), 1, {"z": 0}, ["b"])
+
+    def test_column_length_must_match_lanes(self):
+        with pytest.raises(ValueError, match="column of 4 lanes"):
+            execute_lanes(build_adder(2), 4, {"a": np.zeros(3, dtype=np.int64)}, ["b"])
+
+
+def test_lane_gates_are_compiled_once_per_netlist():
+    nl = build_adder(2)
+    assert nl.lane_gates is nl.lane_gates
+    assert build_adder(2).lane_gates is not nl.lane_gates  # no cache beyond the netlist

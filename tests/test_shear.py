@@ -353,9 +353,12 @@ class TestRotate:
         back on the expand frame returns every term to where it started."""
         assert_rotation_round_trip(random_raster(1 << n, seed=seed), theta, SEMANTIC)
 
-    @pytest.mark.parametrize("n, theta", [(1, 89.99), (2, -61.3), (3, 37.0), (4, -23.5)])
+    @pytest.mark.parametrize(
+        "n, theta",
+        [(1, 89.99), (2, -61.3), (3, 37.0), (4, -23.5), (5, 71.2), (6, -8.4), (7, 52.9)],
+    )
     def test_netlist_expand_then_inverse_rotation_restores_the_image(self, n, theta):
-        # both rotations run on the 2^(n+2) frame, at most the netlist limit 2^6
+        # both rotations run on the 2^(n+2) frame, at most the netlist limit 2^9
         assert_rotation_round_trip(random_raster(1 << n, seed=n), theta, NetlistBackend())
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qimrot import arithmetic, shear, shear_netlists
 from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
-from qimrot.core import core_and_overhead_cost, cost, dump_netlist, run
+from qimrot.core import core_and_overhead_cost, cost, dump_netlist, execute_lanes, run
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import oracle_rotate, oracle_shear
 from qimrot.patterns import random_raster
@@ -23,6 +23,7 @@ from qimrot.shear import (
     rotate,
 )
 from qimrot.shear_netlists import (
+    COORD_EXTRA_BITS,
     MAX_NETLIST_EXPONENT,
     NetlistBackend,
     NetlistModeError,
@@ -66,6 +67,46 @@ def test_gate_path_matches_semantic_shears_exhaustively(n, q16, sign, axis):
     assert out_moved.tolist() == (moved + line_steps(driver, spec)).tolist()  # unclipped
     assert np.array_equal(out_driver, driver)
     assert np.array_equal(out.color, terms.color)
+
+
+#: q16 values sampled where every q16 of every netlist would be too slow
+SAMPLED_Q16 = (0, 1, 15, 16, 17, 31)
+#: lanes per execution; wider ints fall out of cache and run slower per lane
+MAX_LANES = 1 << 18
+
+
+@pytest.mark.parametrize("order", ["tb", "bt"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+@pytest.mark.parametrize("n", range(1, MAX_NETLIST_EXPONENT + 1))
+def test_gate_certificate_over_every_in_frame_term(n, axis, sign, order):
+    """One lane per in-frame (y, x) and q16, with ``med`` preloaded: every
+    ancilla ends at zero and the moved register holds the displacement rule.
+    n 1-6 (the 48 digest-pinned netlists) take every q16 the factor register
+    holds; n 7-9 take ``SAMPLED_Q16``."""
+    netlist = build_shear_netlist(n, axis, sign, order)
+    side, width = 1 << n, n + COORD_EXTRA_BITS
+    q16s = range(32) if n <= 6 else SAMPLED_Q16
+    y, x = np.divmod(np.arange(side * side, dtype=np.int64), side)
+    horizontal = axis == "horizontal"
+    driver, moved = (y, x) if horizontal else (x, y)
+    per_call = max(MAX_LANES >> 2 * n, 1)
+    for start in range(0, len(q16s), per_call):
+        chunk = q16s[start : start + per_call]
+        q = np.repeat(np.array(chunk, dtype=np.int64), side * side)
+        inputs = {"y": np.tile(y, len(chunk)), "x": np.tile(x, len(chunk)), "q": q, "med": side // 2}
+        out = execute_lanes(netlist, len(q), inputs, netlist.registers)
+        for name in netlist.ancillas:
+            assert not out[name].any(), name
+        want = np.concatenate(
+            [moved + line_steps(driver, spec_for(axis, q16, sign, n)) for q16 in chunk]
+        )
+        assert -(1 << width - 1) <= want.min() and want.max() < 1 << width - 1
+        out_driver, out_moved = (out["y"], out["x"]) if horizontal else (out["x"], out["y"])
+        assert np.array_equal(out_moved, want % (1 << width))  # two's complement
+        assert np.array_equal(out_driver, np.tile(driver, len(chunk)))
+        assert np.array_equal(out["q"], q)
+        assert (out["med"] == side // 2).all()
 
 
 def test_working_registers_restored_on_every_input():
@@ -116,8 +157,11 @@ def test_half_order_does_not_change_results(order):
 
 
 def test_size_limit_enforced():
-    big = encode(random_raster(1 << (MAX_NETLIST_EXPONENT + 1), seed=1))
-    with pytest.raises(NetlistModeError):
+    # the paper's 512x512 is the largest frame; one step more is refused
+    assert MAX_NETLIST_EXPONENT == 9
+    NETLIST.check(ShearSpec.from_factor("horizontal", 0.5, MAX_NETLIST_EXPONENT))
+    big = encode(np.zeros((1 << (MAX_NETLIST_EXPONENT + 1),) * 2, dtype=np.uint8))
+    with pytest.raises(NetlistModeError, match="frames up to 512 px"):
         rotate(big, RotationSpec(30), backend=NETLIST)
 
 
@@ -128,8 +172,8 @@ def _no_term_may_be_sheared(*args):
 @pytest.mark.parametrize(
     "side, factor, canvas",
     [
-        (32, 0.5, "expand"),  # a 2^7 frame
-        (64, 0.5, "expand"),
+        (256, 0.5, "expand"),  # a 2^10 frame
+        (512, 0.5, "expand"),
         (1 << (MAX_NETLIST_EXPONENT + 1), 0.5, "clip"),
         (16, 2.0, "clip"),
         (16, -1.97, "clip"),  # quantizes to 32 sixteenths
@@ -146,7 +190,7 @@ def test_backend_refuses_before_any_term_is_sheared(monkeypatch, side, factor, c
 
 
 def test_expand_frame_too_wide_is_refused_with_the_4x_reason():
-    img = encode(np.zeros((32, 32), dtype=np.uint8))
+    img = encode(np.zeros((256, 256), dtype=np.uint8))
     with pytest.raises(NetlistModeError, match="4x the image's side"):
         rotate(img, RotationSpec(30), "expand", NETLIST)
 
@@ -199,7 +243,7 @@ def test_expand_frames_are_the_oracle_chain_on_the_padded_raster(n, theta, seed)
 
 @settings(max_examples=25, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=MAX_NETLIST_EXPONENT),
     magnitude=st.floats(min_value=89.9, max_value=90, exclude_max=True),
     sign=st.sampled_from([1, -1]),
     seed=st.integers(min_value=0, max_value=2**16),
@@ -209,6 +253,7 @@ def test_expand_frames_are_the_oracle_chain_on_the_padded_raster(n, theta, seed)
 @example(n=3, magnitude=89.95, sign=1, seed=2)
 @example(n=4, magnitude=89.99, sign=-1, seed=3)
 @example(n=2, magnitude=89.9999, sign=1, seed=4)
+@example(n=9, magnitude=89.95, sign=-1, seed=5)
 def test_near_right_angle_rotation_is_three_way_equal(n, magnitude, sign, seed):
     theta = sign * magnitude
     assert {spec.factor.sixteenths for spec in RotationSpec(theta).phase_specs(n)} == {16}
@@ -221,8 +266,8 @@ def test_near_right_angle_rotation_is_three_way_equal(n, magnitude, sign, seed):
 
 
 def test_netlist_expand_at_the_widest_frame_matches_the_oracle_chain():
-    # a 16x16 image on the 2^6 frame, the largest the netlist backend runs
-    _assert_expand_frames(random_raster(16, seed=15) | 1, -61.3, NETLIST)
+    # a 128x128 image on the 2^9 frame, the largest the netlist backend runs
+    _assert_expand_frames(random_raster(128, seed=15) | 1, -61.3, NETLIST)
 
 
 @settings(max_examples=100, deadline=None)
