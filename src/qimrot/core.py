@@ -7,11 +7,16 @@ are basis permutations, and superposed inputs follow by linearity without
 ever materialising amplitudes.  A wire is its index, and a basis state is a
 plain int whose bit ``i`` is wire ``i``.
 
+A gate is a named tuple ``(kind, target, controls, overhead)``, checked once
+when made: by ``Gate`` when built by hand, or by the ``NetlistBuilder``
+method that emits it.  A ``Netlist`` checks every wire against its table.
+
 Two executors share each netlist's gate list.  ``execute`` takes one basis
 state and is the reference.  ``execute_lanes`` runs many states at once,
 bit-sliced: wire ``i`` is one int whose bit ``j`` is that wire in lane
-``j``, so the netlist is walked once for every lane.  Registers go in and
-come out as int64 columns, one value per lane.
+``j``, so the netlist is walked once for every lane.  Its per-gate form is
+compiled in one pass on first use and kept on the ``Netlist``.  Registers go
+in and come out as int64 columns, one value per lane.
 
 Cost accounting uses CNOT-equivalents: NOT and CNOT count 1, a Toffoli counts
 6, and each control-on-0 polarity adds 2 (one basis flip before and one
@@ -20,9 +25,8 @@ module reports core and overhead totals separately.
 """
 from __future__ import annotations
 
-import dataclasses
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -40,8 +44,11 @@ class CircuitStructureError(ValueError):
     """A netlist, gate, or basis state is structurally malformed."""
 
 
-@dataclass(frozen=True)
-class Gate:
+#: Builds a Gate from its four fields without re-running the checks.
+_tuple_new = tuple.__new__
+
+
+class Gate(namedtuple("Gate", "kind target controls overhead")):
     """One reversible primitive.
 
     ``controls`` holds ``(wire_id, polarity)`` pairs; polarity 1 fires on
@@ -49,26 +56,29 @@ class Gate:
     controls, masking, uncomputation) excluded from core cost accounting.
     """
 
-    kind: str
-    target: int
-    controls: tuple[tuple[int, int], ...] = ()
-    overhead: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _ARITY:
-            raise CircuitStructureError(f"unknown gate kind {self.kind!r}")
-        if len(self.controls) != _ARITY[self.kind]:
+    def __new__(
+        cls, kind: str, target: int, controls: tuple[tuple[int, int], ...] = (),
+        overhead: bool = False,
+    ) -> Gate:
+        if kind not in _ARITY:
+            raise CircuitStructureError(f"unknown gate kind {kind!r}")
+        if len(controls) != _ARITY[kind]:
             raise CircuitStructureError(
-                f"{self.kind} takes {_ARITY[self.kind]} controls, "
-                f"got {len(self.controls)}"
+                f"{kind} takes {_ARITY[kind]} controls, got {len(controls)}"
             )
-        for wire, polarity in self.controls:
+        for wire, polarity in controls:
             if polarity not in (0, 1):
                 raise CircuitStructureError(f"bad control polarity {polarity!r}")
-            if wire == self.target:
-                raise CircuitStructureError(
-                    f"wire {wire} is both control and target"
-                )
+            if wire == target:
+                raise CircuitStructureError(f"wire {wire} is both control and target")
+        return _tuple_new(cls, (kind, target, controls, overhead))
+
+    @classmethod
+    def _make(cls, iterable) -> Gate:
+        # ``_replace`` builds through here: keep it checked
+        return cls(*iterable)
 
 
 class Netlist:
@@ -96,10 +106,10 @@ class Netlist:
 
     def _validate(self) -> None:
         n = len(self.labels)
-        for gate in self.gates:
-            if not 0 <= gate.target < n:
-                raise CircuitStructureError(f"gate target {gate.target} outside wire table")
-            for wire, _ in gate.controls:
+        for _, target, controls, _ in self.gates:
+            if not 0 <= target < n:
+                raise CircuitStructureError(f"gate target {target} outside wire table")
+            for wire, _ in controls:
                 if not 0 <= wire < n:
                     raise CircuitStructureError(f"gate control {wire} outside wire table")
         for name, ids in self.registers.items():
@@ -137,14 +147,14 @@ class Netlist:
         """Per gate: (mask of on-1 controls, mask of on-0 controls, target flip mask)."""
         if self._compiled is None:
             comp = []
-            for gate in self.gates:
+            for _, target, controls, _ in self.gates:
                 m1 = m0 = 0
-                for wire, on in gate.controls:
+                for wire, on in controls:
                     if on:
                         m1 |= 1 << wire
                     else:
                         m0 |= 1 << wire
-                comp.append((m1, m0, 1 << gate.target))
+                comp.append((m1, m0, 1 << target))
             self._compiled = comp
         return self._compiled
 
@@ -152,14 +162,16 @@ class Netlist:
     def lane_gates(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """Per gate: (on-1 control wires, on-0 control wires, target wire)."""
         if self._lane_gates is None:
-            self._lane_gates = [
-                (
-                    tuple(wire for wire, on in gate.controls if on),
-                    tuple(wire for wire, on in gate.controls if not on),
-                    gate.target,
-                )
-                for gate in self.gates
-            ]
+            lanes = []
+            for _, target, controls, _ in self.gates:
+                ones = zeros = ()
+                for wire, on in controls:
+                    if on:
+                        ones += (wire,)
+                    else:
+                        zeros += (wire,)
+                lanes.append((ones, zeros, target))
+            self._lane_gates = lanes
         return self._lane_gates
 
     def _fitting_wires(self, name: str, *values: int) -> tuple[int, ...]:
@@ -285,12 +297,14 @@ def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
     """
     core = 0
     overhead = 0
-    for gate in netlist.gates:
-        if gate.overhead:
-            overhead += _BASE_COST[gate.kind]
+    for kind, _, controls, plumbing in netlist.gates:
+        if plumbing:
+            overhead += _BASE_COST[kind]
         else:
-            core += _BASE_COST[gate.kind]
-        overhead += sum(POLARITY_SURCHARGE for _, on in gate.controls if on == 0)
+            core += _BASE_COST[kind]
+        for _, on in controls:
+            if on == 0:
+                overhead += POLARITY_SURCHARGE
     return core, overhead
 
 
@@ -347,19 +361,23 @@ class NetlistBuilder:
         finally:
             self._overhead_depth -= 1
 
-    def _emit(self, kind: str, target: int, controls: tuple[tuple[int, int], ...]) -> None:
-        self._gates.append(
-            Gate(kind, target, controls, overhead=self._overhead_depth > 0)
-        )
+    # Each method fixes its gate's kind and arity, so only the target and
+    # polarities need checking; a failure goes through Gate for its message.
 
     def x(self, target: int) -> None:
-        self._emit(NOT, target, ())
+        self._gates.append(_tuple_new(Gate, (NOT, target, (), self._overhead_depth > 0)))
 
     def cx(self, control: int, target: int, on: int = 1) -> None:
-        self._emit(CNOT, target, ((control, on),))
+        controls = ((control, on),)
+        if control == target or on not in (0, 1):
+            Gate(CNOT, target, controls)
+        self._gates.append(_tuple_new(Gate, (CNOT, target, controls, self._overhead_depth > 0)))
 
     def ccx(self, c1: int, c2: int, target: int, on1: int = 1, on2: int = 1) -> None:
-        self._emit(TOFFOLI, target, ((c1, on1), (c2, on2)))
+        controls = ((c1, on1), (c2, on2))
+        if target == c1 or target == c2 or on1 not in (0, 1) or on2 not in (0, 1):
+            Gate(TOFFOLI, target, controls)
+        self._gates.append(_tuple_new(Gate, (TOFFOLI, target, controls, self._overhead_depth > 0)))
 
     def mark(self) -> int:
         """Checkpoint into the gate list, for reverse_tail/append_inverse_of."""
@@ -379,8 +397,10 @@ class NetlistBuilder:
         Used for uncomputation passes: they restore working registers but are
         not part of any core gate count.
         """
-        for gate in reversed(self._gates[start:stop]):
-            self._gates.append(dataclasses.replace(gate, overhead=True))
+        self._gates.extend([
+            _tuple_new(Gate, (kind, target, controls, True))
+            for kind, target, controls, _ in reversed(self._gates[start:stop])
+        ])
 
     def build(self) -> Netlist:
         return Netlist(

@@ -163,6 +163,72 @@ class TestStructuralErrors:
         with pytest.raises(ValueError):
             nl.state(a=4)
 
+    def test_unknown_kind_and_bad_polarity_rejected(self):
+        with pytest.raises(CircuitStructureError, match="unknown gate kind"):
+            Gate("SWAP", 0, ((1, 1),))
+        with pytest.raises(CircuitStructureError, match="bad control polarity"):
+            Gate("CNOT", 0, ((1, 2),))
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(CircuitStructureError, match="both control and target"):
+            Gate("CNOT", 0, ((1, 1),))._replace(target=1)
+
+
+class TestBuilderChecks:
+    """The builder skips Gate's checks for speed; it must refuse the same gates."""
+
+    @pytest.mark.parametrize("emit", [
+        lambda nb: nb.cx(1, 1),
+        lambda nb: nb.ccx(0, 1, 1),
+        lambda nb: nb.ccx(1, 0, 1),
+        lambda nb: nb.cx(0, 1, on=2),
+        lambda nb: nb.ccx(0, 1, 2, on1=-1),
+        lambda nb: nb.ccx(0, 1, 2, on2=2),
+    ], ids=["cx-onto-its-control", "ccx-onto-c2", "ccx-onto-c1", "cx-on-2", "ccx-on1-minus-1",
+            "ccx-on2-2"])
+    def test_bad_gate_is_refused(self, emit):
+        nb = NetlistBuilder()
+        nb.register("w", 3)
+        with pytest.raises(CircuitStructureError):
+            emit(nb)
+        assert nb.build().gates == ()
+
+    def test_append_inverse_of_reverses_the_slice_as_overhead(self):
+        nb = NetlistBuilder()
+        nb.register("w", 3)
+        nb.x(0)
+        nb.cx(0, 1)
+        nb.ccx(0, 1, 2, on2=0)
+        with nb.overhead():
+            nb.cx(2, 0)
+        nb.append_inverse_of(1, nb.mark())
+        gates = nb.build().gates
+        assert len(gates) == 7
+        assert all(isinstance(g, Gate) for g in gates)
+        assert [g.overhead for g in gates] == [False, False, False, True, True, True, True]
+        for made, inverse in zip(gates[1:4], reversed(gates[4:])):
+            assert (inverse.kind, inverse.target, inverse.controls) == (
+                made.kind, made.target, made.controls,
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lane_gates_split_controls_by_polarity(n):
+    # every digest-pinned image netlist, against a reference built from controls
+    for axis in ("horizontal", "vertical"):
+        for sign in (1, -1):
+            for order in ("tb", "bt"):
+                netlist = build_shear_netlist(n, axis, sign, order)
+                expected = [
+                    (
+                        tuple(wire for wire, on in gate.controls if on == 1),
+                        tuple(wire for wire, on in gate.controls if on == 0),
+                        gate.target,
+                    )
+                    for gate in netlist.gates
+                ]
+                assert netlist.lane_gates == expected
+
 
 def test_dump_format_golden():
     assert dump_netlist(build_adder(1)) == "\n".join([

@@ -313,6 +313,20 @@ def test_netlists_are_cached_per_parameters():
     )
 
 
+def test_image_netlists_follow_their_closed_forms():
+    # the digests pin n 1-6; these counts reach every n netlist mode runs
+    for n in range(1, MAX_NETLIST_EXPONENT + 1):
+        for axis in ("horizontal", "vertical"):
+            for sign in (1, -1):
+                for order in ("tb", "bt"):
+                    netlist = build_shear_netlist(n, axis, sign, order)
+                    toffolis = sum(gate.kind == "TOFFOLI" for gate in netlist.gates)
+                    assert len(netlist.gates) == 320 * n + 812
+                    assert toffolis == 160 * n + 392
+                    assert netlist.num_wires == 12 * n + 53
+                    assert core_and_overhead_cost(netlist) == (458 * n + 1052, 662 * n + 1724)
+
+
 def test_netlist_dumps_registers_and_audit_csv_are_pinned():
     # digest of the outputs that must stay bit-identical across refactors
     digest = hashlib.sha256()
