@@ -47,7 +47,6 @@ from .shear import (
     ShearSpec,
     UnsupportedAngleError,
     apply_shear,
-    displacement,
     exact_turn,
     expanded_canvas_params,
     line_steps,

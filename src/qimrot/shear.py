@@ -137,29 +137,21 @@ def line_steps(lines: np.ndarray, spec: ShearSpec) -> np.ndarray:
     driver lines (y for a horizontal shear, x for a vertical one).
 
     A line picks its half by the sign of its offset from the median; the
-    moved coordinate (x, respectively y) shifts by the displacement of that
-    offset's magnitude, in the direction set by the half and the factor's
-    sign.  Steps saturate at +-side: a shift of a whole side or more takes
-    every in-frame term of the line off the frame either way, so saturating
-    keeps clipping exact.  Clamping q to 16 * (side + 1) first is exact for
-    the same reason (for an offset of 1 or more both displacements exceed
-    the side; for offset 0 both are 0), and keeps the product of an in-frame
-    offset inside int64 for frames up to 2^28.
+    moved coordinate (x, respectively y) shifts by |offset| * q rounded half
+    up, in the direction set by the half and the factor's sign.  Steps
+    saturate at +-side: a shift of a whole side or more takes every in-frame
+    term of the line off the frame either way, so saturating keeps clipping
+    exact.  Clamping q to 16 * (side + 1) first is exact for the same reason
+    (for an offset of 1 or more both displacements exceed the side; for
+    offset 0 both are 0), and keeps the product of an in-frame offset inside
+    int64 for frames up to 2^28.
     """
     side = 1 << spec.n
     offset = lines - spec.median
     q16 = min(spec.factor.sixteenths, 16 * (side + 1))
-    d = displacement(np.abs(offset), FixedPointValue(q16))
+    d = (np.abs(offset) * q16 + 8) // 16  # round half up, exact in sixteenths
     sign = spec.sign if spec.axis == HORIZONTAL else -spec.sign
     return sign * np.sign(offset) * np.minimum(d, side)
-
-
-def displacement(offset: int | np.ndarray, factor: FixedPointValue) -> int | np.ndarray:
-    """Round-half-up of offset * factor, computed exactly in sixteenths, for
-    a non-negative int offset or each of an int array of them."""
-    if np.any(offset < 0):
-        raise ValueError("offset must be non-negative")
-    return (offset * factor.sixteenths + 8) // 16
 
 
 class PhaseBackend(Protocol):

@@ -1,34 +1,38 @@
 """Gate-level realizations of the half-image shears.
 
-Two families share the same pipeline shape (offset subtractor, controlled
-multiplier, rounding interpolation, coordinate update, uncomputation):
+One emitter, ``_emit_half``, builds every half shear of both families:
+half dispatch, offset subtractor, controlled multiplier, rounding
+interpolation, coordinate update, uncomputation.  One layout,
+``_working_registers``, sizes every working register from the multiplier's
+operand widths and the interpolation width.  The families differ only in
+the emitter's arguments: the multiplier's operand roles, the
+interpolation's integer wires, and the update's adder, addend and target.
 
-* image netlists, built per frame exponent with the widths the semantics
-  require: two's-complement coordinate registers with two guard bits plus a
-  sign bit, a 5-bit factor register (1 integer + 4 fraction bits) driving
-  the multiplier stages, and a carry-free modular adder for the final
-  coordinate update.  ``run_shear_phase`` takes and returns ``neqr.Terms``
-  columns and runs the netlist once per phase, with one bit-sliced lane per
-  term (``core.execute_lanes``); ``NetlistBackend`` runs it inside
-  ``shear.rotate``/``shear.apply_shear`` on frames up to 2^9, and it agrees
-  bit for bit with the semantic engine.
+* Image netlists (``build_shear_netlist``), executed by ``--mode netlist``:
+  (n+3)-bit two's-complement coordinates, the 5-bit factor ``q`` (1 integer
+  + 4 fraction bits) multiplying the offset, and a carry-free modular adder
+  adding the rounded integer to the moved coordinate.  ``run_shear_phase``
+  takes and returns ``neqr.Terms`` columns and runs the netlist once per
+  phase, one bit-sliced lane per term (``core.execute_lanes``);
+  ``NetlistBackend`` runs it inside ``shear.rotate``/``shear.apply_shear`` on
+  frames up to 2^9, bit for bit equal to the semantic engine.
 
-* uniform-width netlists for the cost audit, where the two coordinate
-  adders, the multiplier stage count, and the interpolation all share one
-  width n and the factor register has width m.  Their core gate content is
-  exactly two adders + one controlled multiplier + one interpolation, so the
-  measured core equals the closed forms (14.5n + 29m + 69.5)n - 35 per half
-  and 29n^2 + 58mn + 139n - 70 for both halves.
+* Uniform-width netlists for the cost audit: the offset's low n bits
+  multiply the m-bit ``fac``, and a width-n adder updates ``x``.  Their core
+  is exactly two adders + one controlled multiplier + one interpolation, so
+  it equals the closed forms (14.5n + 29m + 69.5)n - 35 per half and
+  29n^2 + 58mn + 139n - 70 for both halves.
 
-In both families the half-dispatch control (one CNOT per half, firing on
-the driving coordinate's top bit, polarity 0 for the low half) and the full
-uncomputation pass are tagged overhead; the core counts cover arithmetic
-content only.  Every working register returns to zero, so the two half
-segments compose in either order and whole phases chain cleanly.
+The half-dispatch control (one CNOT per half, firing on the driving
+coordinate's top bit, polarity 0 for the low half) and the uncomputation
+pass are tagged overhead; core counts cover arithmetic only.  Every working
+register returns to zero, so the two half segments compose in either order
+and whole phases chain cleanly.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -62,57 +66,59 @@ class NetlistModeError(DomainError):
     """Request outside what gate-level execution supports."""
 
 
-def _emit_offset(
-    nb: NetlistBuilder, coord: list[int], med: list[int], carry: list[int], n: int, low_half: bool
-) -> list[int]:
-    """Subtract to get offset = |coordinate - median|; return the register holding it."""
-    s = nb.mark()
-    if low_half:
-        # offset = median - coordinate, left in the median register
-        emit_adder(nb, coord[:n], med, carry[:n])
-        offset_reg = med
-    else:
-        # offset = coordinate - median, left in the coordinate register
-        emit_adder(nb, med[:n], coord[: n + 1], carry[:n])
-        offset_reg = coord[: n + 1]
-    nb.reverse_tail(s)
-    return offset_reg
-
-
-def _emit_image_half(
-    nb: NetlistBuilder, regs: dict, n: int, horizontal: bool, low_half: bool, sign: int
+def _working_registers(
+    nb: NetlistBuilder, regs: dict, multiplier_bits: int, multiplicand_bits: int, rnd_bits: int
 ) -> None:
-    driver = regs["y"] if horizontal else regs["x"]
-    moved = regs["x"] if horizontal else regs["y"]
+    """Declare a half shear's working registers into ``regs``, every width
+    derived from the multiplier's operand widths and the interpolation's."""
+    product = multiplier_bits + multiplicand_bits
+    widths = {"ctrl": 1, "p": product, "t": 1, "mask": product - 1, "carry": product - 1,
+              "rnd": rnd_bits, "ipc": 1}
+    for name, width in widths.items():
+        regs[name] = nb.register(name, width, ancilla=True)
+    regs["dbls"] = [nb.register(f"dbl{i}", multiplicand_bits + i, ancilla=True)
+                    for i in range(1, multiplier_bits + 1)]
+
+
+def _emit_half(
+    nb: NetlistBuilder,
+    regs: dict,
+    driver: list[int],
+    low_half: bool,
+    operands: Callable[[list[int]], tuple[list[int], list[int]]],
+    integer: list[int],
+    update: tuple[Callable, list[int], list[int]],
+    subtract: bool,
+) -> None:
+    """One half shear over a 2^n frame, n + 1 being the width of ``med``.
+
+    ``operands`` maps the offset register to the multiplier's (multiplier,
+    multiplicand); ``integer`` is the interpolation's value bits plus its
+    carry-out wire; ``update`` is (adder, addend, target), the adder applied
+    backwards when ``subtract`` is set.
+    """
+    med, ctrl, carry = regs["med"], regs["ctrl"][0], regs["carry"]
+    n = len(med) - 1
     polarity = 0 if low_half else 1
-    ctrl = regs["ctrl"][0]
-    carry = regs["carry"]
 
     with nb.overhead():
         nb.cx(driver[n - 1], ctrl, on=polarity)
     start = nb.mark()
-    offset_reg = _emit_offset(nb, driver, regs["med"], carry, n, low_half)
-    emit_ctrl_multi(
-        nb,
-        regs["q"],
-        offset_reg,
-        ctrl,
-        regs["p"],
-        regs["t"][0],
-        regs["mask"],
-        carry,
-        regs["dbls"],
-    )
-    integer = regs["p"][4:] + [regs["ipc"][0]]
-    emit_interpolation(nb, integer, regs["p"][3], regs["rnd"], carry[: n + 2])
+    # offset = |driver - median|: median - driver on the low half, left in
+    # med; driver - median on the high half, left in the driver's low wires
+    subtrahend, offset = (driver[:n], med) if low_half else (med[:n], driver[: n + 1])
+    emit_adder(nb, subtrahend, offset, carry)
+    nb.reverse_tail(start)
+    multiplier, multiplicand = operands(offset)
+    p, t = regs["p"], regs["t"][0]
+    emit_ctrl_multi(nb, multiplier, multiplicand, ctrl, p, t, regs["mask"], carry, regs["dbls"])
+    emit_interpolation(nb, integer, p[3], regs["rnd"], carry)
     stop = nb.mark()
 
-    # coordinate update: subtract for (top, +) / (right, +), add otherwise
-    subtract = (sign > 0) == (low_half == horizontal)
-    s = nb.mark()
-    emit_modular_adder(nb, integer, moved, carry[: n + COORD_EXTRA_BITS])
+    adder, addend, target = update
+    adder(nb, addend, target, carry)
     if subtract:
-        nb.reverse_tail(s)
+        nb.reverse_tail(stop)
 
     nb.append_inverse_of(start, stop)
     with nb.overhead():
@@ -136,27 +142,23 @@ def build_shear_netlist(n: int, axis: str, sign: int, order: str = "tb") -> Netl
     if order not in ("tb", "bt"):
         raise ValueError(f"order must be 'tb' or 'bt', got {order!r}")
     width = n + COORD_EXTRA_BITS
-    multiplicand = n + 1  # offset register width
     nb = NetlistBuilder()
     regs = {
         "y": nb.register("y", width),
         "x": nb.register("x", width),
         "q": nb.register("q", _FACTOR_BITS),
         "med": nb.register("med", n + 1),
-        "ctrl": nb.register("ctrl", 1, ancilla=True),
-        "p": nb.register("p", multiplicand + _FACTOR_BITS, ancilla=True),
-        "t": nb.register("t", 1, ancilla=True),
-        "mask": nb.register("mask", multiplicand + _FACTOR_BITS - 1, ancilla=True),
-        "carry": nb.register("carry", multiplicand + _FACTOR_BITS - 1, ancilla=True),
-        "rnd": nb.register("rnd", n + 2, ancilla=True),
-        "ipc": nb.register("ipc", 1, ancilla=True),
     }
-    regs["dbls"] = [
-        nb.register(f"dbl{i + 1}", multiplicand + i + 1, ancilla=True)
-        for i in range(_FACTOR_BITS)
-    ]
+    # q times the (n+1)-bit offset, rounded to an (n+2)-bit integer
+    _working_registers(nb, regs, _FACTOR_BITS, n + 1, n + 2)
+    horizontal = axis == HORIZONTAL
+    driver, moved = (regs["y"], regs["x"]) if horizontal else (regs["x"], regs["y"])
+    integer = regs["p"][4:] + regs["ipc"]
+    update = (emit_modular_adder, integer, moved)
     for low_half in (order == "tb", order == "bt"):
-        _emit_image_half(nb, regs, n, axis == HORIZONTAL, low_half, sign)
+        # coordinate update: subtract for (top, +) / (right, +), add otherwise
+        subtract = (sign > 0) == (low_half == horizontal)
+        _emit_half(nb, regs, driver, low_half, lambda off: (regs["q"], off), integer, update, subtract)
     return nb.build()
 
 
@@ -221,47 +223,7 @@ class NetlistBackend:
 # uniform-width netlists for the cost audit
 
 
-def _emit_uniform_half(nb: NetlistBuilder, regs: dict, n: int, low_half: bool) -> None:
-    polarity = 0 if low_half else 1
-    ctrl = regs["ctrl"][0]
-    carry = regs["carry"]
-    y = regs["y"]
-
-    with nb.overhead():
-        nb.cx(y[n - 1], ctrl, on=polarity)
-    start = nb.mark()
-    offset_reg = _emit_offset(nb, y, regs["med"], carry, n, low_half)
-    emit_ctrl_multi(
-        nb,
-        offset_reg[:n],
-        regs["fac"],
-        ctrl,
-        regs["p"],
-        regs["t"][0],
-        regs["mask"],
-        carry,
-        regs["dbls"],
-    )
-    emit_interpolation(
-        nb,
-        regs["p"][4 : 4 + n] + [regs["ipc"][0]],
-        regs["p"][3],
-        regs["rnd"],
-        carry[:n],
-    )
-    stop = nb.mark()
-
-    s = nb.mark()
-    emit_adder(nb, regs["p"][4 : 4 + n], regs["x"], carry[:n])
-    if low_half:
-        nb.reverse_tail(s)
-
-    nb.append_inverse_of(start, stop)
-    with nb.overhead():
-        nb.cx(y[n - 1], ctrl, on=polarity)
-
-
-def _uniform_builder(n: int, m: int) -> tuple[NetlistBuilder, dict]:
+def _uniform_shear(n: int, m: int, halves: tuple[bool, ...]) -> Netlist:
     if m < 4:
         raise ValueError("factor width must cover the 4 fraction bits (m >= 4)")
     nb = NetlistBuilder()
@@ -270,18 +232,14 @@ def _uniform_builder(n: int, m: int) -> tuple[NetlistBuilder, dict]:
         "med": nb.register("med", n + 1),
         "fac": nb.register("fac", m),
         "x": nb.register("x", n + 1),
-        "ctrl": nb.register("ctrl", 1, ancilla=True),
-        "p": nb.register("p", n + m, ancilla=True),
-        "t": nb.register("t", 1, ancilla=True),
-        "mask": nb.register("mask", n + m - 1, ancilla=True),
-        "carry": nb.register("carry", n + m - 1, ancilla=True),
-        "rnd": nb.register("rnd", n, ancilla=True),
-        "ipc": nb.register("ipc", 1, ancilla=True),
     }
-    regs["dbls"] = [
-        nb.register(f"dbl{i + 1}", m + i + 1, ancilla=True) for i in range(n)
-    ]
-    return nb, regs
+    # the offset's low n bits times fac, rounded to an n-bit integer
+    _working_registers(nb, regs, n, m, n)
+    integer, fac = regs["p"][4 : 4 + n] + regs["ipc"], regs["fac"]
+    update = (emit_adder, integer[:n], regs["x"])  # subtracted on the low half
+    for low_half in halves:
+        _emit_half(nb, regs, regs["y"], low_half, lambda off: (off[:n], fac), integer, update, low_half)
+    return nb.build()
 
 
 def build_uniform_half_shear(n: int, m: int) -> Netlist:
@@ -290,14 +248,9 @@ def build_uniform_half_shear(n: int, m: int) -> Netlist:
     Core content: two width-n adders, one n-stage multiplier with an m-bit
     multiplicand, one width-n interpolation.
     """
-    nb, regs = _uniform_builder(n, m)
-    _emit_uniform_half(nb, regs, n, True)
-    return nb.build()
+    return _uniform_shear(n, m, (True,))
 
 
 def build_uniform_horizontal_shear(n: int, m: int) -> Netlist:
     """Both half shears at uniform widths over shared registers."""
-    nb, regs = _uniform_builder(n, m)
-    _emit_uniform_half(nb, regs, n, True)
-    _emit_uniform_half(nb, regs, n, False)
-    return nb.build()
+    return _uniform_shear(n, m, (True, False))

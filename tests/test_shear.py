@@ -18,7 +18,6 @@ from qimrot.shear import (
     ShearSpec,
     UnsupportedAngleError,
     apply_shear,
-    displacement,
     exact_turn,
     expanded_canvas_params,
     line_steps,
@@ -104,9 +103,10 @@ class TestHalfShears:
         assert line_steps(np.array([0]), hspec(16, 2, sign=-1)).tolist() == [2]
 
     def test_displacement_rounds_half_up(self):
-        assert displacement(1, FixedPointValue(8)) == 1  # 0.5 -> 1
-        assert displacement(1, FixedPointValue(7)) == 0  # 0.4375 -> 0
-        assert displacement(3, FixedPointValue(4)) == 1  # 0.75 -> 1
+        # one-line arrays on the 8x8 frame: line 5 is offset 1, line 7 offset 3
+        assert line_steps(np.array([5]), hspec(8, 3)).tolist() == [1]  # 0.5 -> 1
+        assert line_steps(np.array([5]), hspec(7, 3)).tolist() == [0]  # 0.4375 -> 0
+        assert line_steps(np.array([7]), hspec(4, 3)).tolist() == [1]  # 0.75 -> 1
 
 
 class TestApplyShear:

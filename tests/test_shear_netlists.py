@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -107,6 +108,29 @@ def test_gate_certificate_over_every_in_frame_term(n, axis, sign, order):
         assert np.array_equal(out_driver, np.tile(driver, len(chunk)))
         assert np.array_equal(out["q"], q)
         assert (out["med"] == side // 2).all()
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_uniform_netlists_execute_their_contract(n, m):
+    """The audit's netlists run, not only priced: one lane per y in frame,
+    x over its whole register and fac over its whole register, with ``med``
+    preloaded.  x moves by the rounded offset * fac / 16 modulo 2^n: left on
+    the top half, right on the bottom half of the full shear only."""
+    grid = np.meshgrid(np.arange(1 << n), np.arange(2 << n), np.arange(1 << m), indexing="ij")
+    y, x, fac = (axis.ravel().astype(np.int64) for axis in grid)
+    med = 1 << (n - 1)
+    d = ((np.abs(y - med) * fac + 8) // 16) % (1 << n)
+    top = y < med
+    inputs = {"y": y, "x": x, "fac": fac, "med": med}
+    for build, bottom in ((build_uniform_half_shear, 0), (build_uniform_horizontal_shear, 1)):
+        netlist = build(n, m)
+        out = execute_lanes(netlist, len(y), inputs, netlist.registers)
+        for name in netlist.ancillas:
+            assert not out[name].any(), name
+        assert np.array_equal(out["y"], y) and np.array_equal(out["fac"], fac)
+        assert (out["med"] == med).all()
+        assert np.array_equal(out["x"], np.where(top, x - d, x + bottom * d) % (2 << n))
 
 
 def test_working_registers_restored_on_every_input():
@@ -340,6 +364,21 @@ def test_netlist_dumps_registers_and_audit_csv_are_pinned():
     digest.update(audit_report().to_csv().encode())
     assert digest.hexdigest() == (
         "3629a5484f22a8ff01034925a438b2b15dde3e5751bd2e3257501e0bc1f756ca"
+    )
+
+
+def test_image_netlist_overhead_tags_and_ancillas_are_pinned():
+    # the dump digest above does not show which gates are overhead, and the
+    # closed forms pin only the cost totals
+    digest = hashlib.sha256()
+    for n, axis, sign, order in itertools.product(
+        range(1, 7), ("horizontal", "vertical"), (1, -1), ("tb", "bt")
+    ):
+        netlist = build_shear_netlist(n, axis, sign, order)
+        digest.update(repr([g.overhead for g in netlist.gates]).encode())
+        digest.update(repr(sorted(netlist.ancillas)).encode())
+    assert digest.hexdigest() == (
+        "5925986caf983dcd77e00efe8aa402a84e8cfef3d2b91b9f738aaee37290255d"
     )
 
 
