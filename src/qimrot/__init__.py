@@ -12,7 +12,6 @@ from .arithmetic import (
     build_interpolation,
     build_self_adder,
     build_subtractor,
-    eval_semantic,
 )
 from .audit import AuditRow, GateCostReport, audit_report, measure, predict
 from .core import (
@@ -26,7 +25,6 @@ from .core import (
     execute,
     execute_lanes,
     invert,
-    run,
 )
 from .neqr import ImageFormatError, NEQRImage, Terms, decode, encode
 from .oracle import (

@@ -1,4 +1,4 @@
-"""Reversible arithmetic netlists and their plain-integer evaluators.
+"""Reversible arithmetic netlists and the fixed-point factor they multiply by.
 
 Four constructions, each with an exact closed-form core cost in
 CNOT-equivalents (NOT = CNOT = 1, Toffoli = 6):
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Netlist, NetlistBuilder, invert
 
@@ -50,7 +49,6 @@ __all__ = [
     "build_self_adder",
     "build_ctrl_multi",
     "build_interpolation",
-    "eval_semantic",
     "emit_adder",
     "emit_modular_adder",
     "emit_self_adder",
@@ -73,10 +71,6 @@ class FixedPointValue:
     def __post_init__(self) -> None:
         if self.sixteenths < 0:
             raise ValueError("fixed-point value must be non-negative")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.sixteenths, 16)
 
     @classmethod
     def quantize(cls, real: float) -> "FixedPointValue":
@@ -275,50 +269,3 @@ def build_interpolation(n: int) -> Netlist:
     carry = nb.register("carry", n, ancilla=True)
     emit_interpolation(nb, a, frac[3], rnd, carry)
     return nb.build()
-
-
-# ---------------------------------------------------------------------------
-# semantic evaluators: the independent oracle for every netlist above
-
-
-def _require_width(value: int, bits: int, what: str) -> None:
-    if not 0 <= value < (1 << bits):
-        raise ValueError(f"{what} = {value} does not fit in {bits} bits")
-
-
-def eval_semantic(kind: str, **operands: int) -> int:
-    """Plain integer arithmetic matching each netlist's contract.
-
-    Kinds: ``add`` (n; a, b), ``subtract`` (n; a, d), ``double`` (n; x),
-    ``multiply`` (n, m; a, x, ctrl), ``interpolate`` (n; a, frac).  Additions
-    and subtractions act modulo 2^(n+1) on the wide register, which is what
-    the gate-level circuits compute on every input.
-    """
-    n = operands.pop("n")
-    if kind == "add":
-        a, b = operands["a"], operands["b"]
-        _require_width(a, n, "a")
-        _require_width(b, n + 1, "b")
-        return (a + b) % (1 << (n + 1))
-    if kind == "subtract":
-        a, d = operands["a"], operands["d"]
-        _require_width(a, n, "a")
-        _require_width(d, n + 1, "d")
-        return (d - a) % (1 << (n + 1))
-    if kind == "double":
-        x = operands["x"]
-        _require_width(x, n, "x")
-        return 2 * x
-    if kind == "multiply":
-        m = operands.pop("m")
-        a, x = operands["a"], operands["x"]
-        ctrl = operands.get("ctrl", 1)
-        _require_width(a, m, "a")
-        _require_width(x, n, "x")
-        return a * x * ctrl
-    if kind == "interpolate":
-        a, frac = operands["a"], operands["frac"]
-        _require_width(a, n, "a")
-        _require_width(frac, 4, "frac")
-        return a + (frac >> 3)
-    raise ValueError(f"unknown circuit kind {kind!r}")

@@ -186,21 +186,6 @@ class Netlist:
                 )
         return ids
 
-    def state(self, **register_values: int) -> int:
-        """Build a basis state from register values; unnamed registers are zero."""
-        bits = 0
-        for name, value in register_values.items():
-            ids = self._fitting_wires(name, value)
-            for k, wire in enumerate(ids):
-                bits |= ((value >> k) & 1) << wire
-        return bits
-
-    def register_value(self, state: int, name: str) -> int:
-        value = 0
-        for k, wire in enumerate(self.registers[name]):
-            value |= ((state >> wire) & 1) << k
-        return value
-
 
 def execute(netlist: Netlist, state: int) -> int:
     """Apply the gate sequence to a basis state and return the image state."""
@@ -321,12 +306,6 @@ def dump_netlist(netlist: Netlist) -> str:
             parts.append(("" if on else "!") + labels[wire])
         lines.append(" ".join(parts))
     return "\n".join(lines)
-
-
-def run(netlist: Netlist, **inputs: int) -> dict[str, int]:
-    """Execute on register-valued inputs and return all register values."""
-    out = execute(netlist, netlist.state(**inputs))
-    return {name: netlist.register_value(out, name) for name in netlist.registers}
 
 
 class NetlistBuilder:

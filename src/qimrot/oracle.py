@@ -69,12 +69,17 @@ def oracle_shear(raster: np.ndarray, axis: str, factor: float) -> np.ndarray:
     return out
 
 
-def _phase_factors(theta_degrees: float) -> tuple[float, float]:
+def _radians(theta_degrees: float) -> float:
+    """The angle in radians, once |angle| < 90 degrees is checked."""
     if not abs(theta_degrees) < 90:
         raise UnsupportedAngleError(
             f"|angle| must be below 90 degrees, got {theta_degrees}"
         )
-    theta = math.radians(theta_degrees)
+    return math.radians(theta_degrees)
+
+
+def _phase_factors(theta_degrees: float) -> tuple[float, float]:
+    theta = _radians(theta_degrees)
     return math.tan(theta / 2), math.sin(theta)
 
 
@@ -109,14 +114,10 @@ def ideal_rotate(raster: np.ndarray, theta_degrees: float) -> np.ndarray:
     same fixed point as the shear pipeline.  Used only for quality metrics,
     never asserted bit-exactly against the shear path.
     """
-    if not abs(theta_degrees) < 90:
-        raise UnsupportedAngleError(
-            f"|angle| must be below 90 degrees, got {theta_degrees}"
-        )
+    theta = _radians(theta_degrees)
     arr = np.asarray(raster)
     side = arr.shape[0]
     c = side // 2
-    theta = math.radians(theta_degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     y, x = np.indices((side, side))
     u, w = y - c, x - c

@@ -1,4 +1,4 @@
-"""Deterministic synthetic rasters used by the CLI, scripts, and tests."""
+"""Deterministic synthetic rasters used by the CLI and tests."""
 from __future__ import annotations
 
 import numpy as np

@@ -253,12 +253,10 @@ def rotate(
 
 
 def exact_turn(image: NEQRImage, degrees: int) -> NEQRImage:
-    """Exact quarter-turn rotations (90, 180, 270 counter-clockwise).
+    """Exact rotation by any multiple of 90 degrees, counter-clockwise.
 
     These are coordinate permutations, not shears, and lose no pixels.
     """
-    if degrees % 360 == 0:
-        return NEQRImage(image.raster())
     if degrees % 90 != 0:
         raise UnsupportedAngleError("exact turns support multiples of 90 degrees only")
-    return NEQRImage(np.rot90(image.raster(), k=(degrees // 90) % 4).copy())
+    return NEQRImage(np.rot90(image.raster(), k=(degrees // 90) % 4))

@@ -6,14 +6,12 @@ All comparisons are bit-exact; gate-count comparisons carry zero tolerance.
 import functools
 import math
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
+from qimrot import cli
 from qimrot.arithmetic import (
     FixedPointValue,
     build_adder,
@@ -21,13 +19,13 @@ from qimrot.arithmetic import (
     build_interpolation,
     build_self_adder,
     build_subtractor,
-    eval_semantic,
 )
 from qimrot.audit import measure, predict
-from qimrot.core import execute, invert, run
+from qimrot.core import execute, invert
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate, oracle_shear
 from qimrot.patterns import checkerboard, gradient, random_raster
+from qimrot.pgm import read_pgm, write_pgm
 from qimrot.shear import (
     RotationSpec,
     ShearSpec,
@@ -36,6 +34,8 @@ from qimrot.shear import (
     rotate,
 )
 from qimrot.shear_netlists import NetlistBackend, run_shear_phase
+
+from basis_states import run
 
 
 def criterion(cid, title):
@@ -65,26 +65,24 @@ def test_criterion_1_arithmetic_equivalence():
         for a in range(1 << n):
             for b in range(1 << n):
                 out = run(add, a=a, b=b)
-                assert out["b"] == eval_semantic("add", n=n, a=a, b=b) == a + b
+                assert out["b"] == a + b
                 check_clean(add, out)
                 out = run(sub, a=a, b=a + b)
                 assert out["b"] == b
                 check_clean(sub, out)
         for x in range(1 << n):
             out = run(dbl, x=x)
-            assert out["out"] == eval_semantic("double", n=n, x=x)
+            assert out["out"] == 2 * x
             for frac in range(16):
                 out = run(interp, a=x, frac=frac)
-                assert out["a"] == eval_semantic("interpolate", n=n, a=x, frac=frac)
+                assert out["a"] == x + (frac >> 3)
                 check_clean(interp, out)
         multi = build_ctrl_multi(n, n)
         for a in range(1 << n):
             for x in range(1 << n):
                 for ctrl in (0, 1):
                     out = run(multi, a=a, x=x, ctrl=ctrl)
-                    assert out["p"] == eval_semantic(
-                        "multiply", n=n, m=n, a=a, x=x, ctrl=ctrl
-                    )
+                    assert out["p"] == a * x * ctrl
                     check_clean(multi, out)
 
     rng = random.Random(20240801)
@@ -255,16 +253,25 @@ def test_criterion_6_no_blocking_or_blurring():
           f"{fraction:.4f}")
 
 
-@criterion(7, "the paper's 30/45/60 degree demo matches the oracle")
+@criterion(7, "the paper's 30/45/60 degree experiment, PGM to PGM, matches the oracle")
 def test_criterion_7_rotation_demo(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_rotation_demo.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--outdir", str(tmp_path)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("oracle match yes") == 3, proc.stdout
-    assert len(list(tmp_path.glob("*.pgm"))) == 10  # input + 3 angles x 3 frames
+    raster = checkerboard(512)
+    source = str(tmp_path / "input.pgm")
+    write_pgm(source, raster)
+    for theta in (30, 45, 60):
+        out = str(tmp_path / f"rot{theta}.pgm")
+        argv = ["rotate", "--input", source, "--output", out, "--angle", str(theta),
+                "--emit-intermediates"]
+        assert cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))) == cli.EXIT_OK
+        tan_half, sin_full = math.tan(math.radians(theta) / 2), math.sin(math.radians(theta))
+        phase1 = oracle_shear(raster, "horizontal", tan_half)
+        phase2 = oracle_shear(phase1, "vertical", sin_full)
+        final = oracle_shear(phase2, "horizontal", tan_half)
+        assert np.array_equal(read_pgm(str(tmp_path / f"rot{theta}.phase1.pgm")), phase1), theta
+        assert np.array_equal(read_pgm(str(tmp_path / f"rot{theta}.phase2.pgm")), phase2), theta
+        written = read_pgm(out)
+        assert np.array_equal(written, final), theta
+        assert np.array_equal(written, oracle_rotate(raster, theta)), theta
 
 
 @criterion(8, "rotation equivalence at the paper's 512x512 scale")

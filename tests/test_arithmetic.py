@@ -11,9 +11,10 @@ from qimrot.arithmetic import (
     build_interpolation,
     build_self_adder,
     build_subtractor,
-    eval_semantic,
 )
-from qimrot.core import cost, run
+from qimrot.core import cost
+
+from basis_states import run
 
 
 def assert_ancillas_clean(netlist, outputs):
@@ -36,7 +37,7 @@ class TestAdder:
         for a in range(1 << n):
             for b in range(1 << (n + 1)):  # full wide-register domain
                 out = run(nl, a=a, b=b)
-                assert out["b"] == eval_semantic("add", n=n, a=a, b=b)
+                assert out["b"] == (a + b) % 2 ** (n + 1)
                 assert out["a"] == a
                 assert_ancillas_clean(nl, out)
 
@@ -67,7 +68,7 @@ class TestSubtractor:
         nl = build_subtractor(n)
         for a in range(1 << n):
             for d in range(1 << (n + 1)):
-                assert run(nl, a=a, b=d)["b"] == eval_semantic("subtract", n=n, a=a, d=d)
+                assert run(nl, a=a, b=d)["b"] == (d - a) % 2 ** (n + 1)
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -157,38 +158,17 @@ def test_randomized_agreement_at_larger_widths(n):
         assert run(dbl, x=a)["out"] == 2 * a
         c = rng.randrange(2)
         out = run(multi, a=a, x=b, ctrl=c)
-        assert out["p"] == eval_semantic("multiply", n=n, m=n, a=a, x=b, ctrl=c)
+        assert out["p"] == a * b * c
         assert_ancillas_clean(multi, out)
         frac = rng.randrange(16)
-        assert run(interp, a=a, frac=frac)["a"] == eval_semantic(
-            "interpolate", n=n, a=a, frac=frac
-        )
-
-
-class TestEvalSemantic:
-    def test_direct_examples(self):
-        assert eval_semantic("add", n=3, a=5, b=3) == 8
-        assert eval_semantic("multiply", n=4, m=5, a=21, x=11) == 231
-        assert eval_semantic("interpolate", n=4, a=10, frac=10) == 11
-
-    def test_width_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            eval_semantic("add", n=3, a=8, b=0)
-        with pytest.raises(ValueError):
-            eval_semantic("multiply", n=2, m=2, a=1, x=4)
-        with pytest.raises(ValueError):
-            eval_semantic("interpolate", n=2, a=1, frac=16)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            eval_semantic("divide", n=2, a=1)
+        assert run(interp, a=a, frac=frac)["a"] == a + (frac >> 3)
 
 
 class TestFixedPointValue:
     def test_value_formula(self):
         v = FixedPointValue(21)
         assert v.sixteenths == 21
-        assert float(v.value) == 21 / 16
+        assert FixedPointValue.quantize(21 / 16) == v
 
     @pytest.mark.parametrize("real,expected", [
         (0.0, 0), (1.0, 16), (0.5, 8), (0.03125, 1),  # exact tie rounds up
@@ -205,7 +185,7 @@ class TestFixedPointValue:
     @given(st.floats(min_value=0, max_value=1.05, allow_nan=False))
     def test_quantization_error_within_half_step(self, real):
         q = FixedPointValue.quantize(real)
-        assert abs(float(q.value) - real) <= 1 / 32 + 1e-12
+        assert abs(q.sixteenths / 16 - real) <= 1 / 32 + 1e-12
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

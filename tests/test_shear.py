@@ -374,6 +374,12 @@ class TestExactTurns:
                 expected[side - 1 - x, y] = raster[y, x]
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("degrees", [0, 90, 180, 270, 360, -90, 450])
+    def test_every_multiple_of_90_matches_rot90(self, degrees):
+        img = encode(random_raster(8, seed=6))
+        out = decode(exact_turn(img, degrees))
+        assert np.array_equal(out, np.rot90(img.raster(), k=degrees // 90))
+
     def test_half_turn_twice_is_identity(self):
         img = encode(random_raster(8, seed=5))
         assert exact_turn(exact_turn(img, 180), 180) == img

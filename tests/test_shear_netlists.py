@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qimrot import arithmetic, shear, shear_netlists
 from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
-from qimrot.core import core_and_overhead_cost, cost, dump_netlist, execute_lanes, run
+from qimrot.core import core_and_overhead_cost, cost, dump_netlist, execute_lanes
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import oracle_rotate, oracle_shear
 from qimrot.patterns import random_raster
@@ -33,6 +33,8 @@ from qimrot.shear_netlists import (
     build_uniform_horizontal_shear,
     run_shear_phase,
 )
+
+from basis_states import run
 
 NETLIST = NetlistBackend()
 
