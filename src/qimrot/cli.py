@@ -1,15 +1,21 @@
 """Command-line front end: rotate, shear, audit, and verify over PGM files.
 
+Each subcommand's parser names its handler, which reads the parsed
+namespace: argparse alone holds the options and their defaults.
+
 Exit codes: 0 success (and, for verify/audit, full agreement); 1 a
 verification or audit comparison failed; 2 unreadable or malformed image
 input; 3 unsupported angle or parameter domain (including the netlist-mode
-frame and factor limits); 4 output could not be written.
+frame and factor limits); 4 output could not be written (an output raster,
+the audit's --report CSV, or a closed standard output).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from .shear import (
     RotationSpec,
     ShearSpec,
     apply_shear,
-    checked_phase_specs,
     exact_turn,
     rotate,
 )
@@ -38,26 +43,8 @@ EXIT_DOMAIN = 3
 EXIT_WRITE = 4
 
 
-@dataclass
-class CommandConfig:
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    angle: float | None = None
-    exact_turn: int | None = None
-    axis: str | None = None
-    factor: float | None = None
-    mode: str = "semantic"
-    canvas: str = "clip"
-    emit_intermediates: bool = False
-    order: str = "tb"
-    ascii_output: bool = False
-    report: str | None = None
-    size: int = 16
-    n_min: int = 2
-    n_max: int = 6
-    m_min: int = 4
-    m_max: int = 8
+class _WriteFailure(Exception):
+    pass
 
 
 def _load_image(path: str) -> NEQRImage:
@@ -68,15 +55,18 @@ def _load_image(path: str) -> NEQRImage:
     return encode(raster)
 
 
-def _write_raster(path: str, raster: np.ndarray, ascii_output: bool) -> None:
+@contextmanager
+def _output(path: str) -> Iterator[None]:
+    """Turn an OSError while writing ``path`` into exit 4."""
     try:
-        write_pgm(path, raster, binary=not ascii_output)
+        yield
     except OSError as exc:
         raise _WriteFailure(f"cannot write {path}: {exc}") from exc
 
 
-class _WriteFailure(Exception):
-    pass
+def _write_raster(path: str, raster: np.ndarray, args: argparse.Namespace) -> None:
+    with _output(path):
+        write_pgm(path, raster, binary=not args.ascii_output)
 
 
 def _intermediate_path(output: str, phase: int) -> str:
@@ -84,79 +74,70 @@ def _intermediate_path(output: str, phase: int) -> str:
     return f"{stem}.phase{phase}.pgm"
 
 
-def _backend(cfg: CommandConfig) -> PhaseBackend:
-    return NetlistBackend(cfg.order) if cfg.mode == "netlist" else SEMANTIC
+def _backend(args: argparse.Namespace) -> PhaseBackend:
+    return NetlistBackend(args.order) if args.mode == "netlist" else SEMANTIC
 
 
-def _cmd_rotate(cfg: CommandConfig) -> int:
-    if cfg.exact_turn is not None and cfg.emit_intermediates:
+def _cmd_rotate(args: argparse.Namespace) -> int:
+    if args.exact_turn is not None and args.emit_intermediates:
         raise DomainError("--emit-intermediates needs shear phases; an exact turn has none")
-    image = _load_image(cfg.input)
-    if cfg.exact_turn is not None:
-        result_image = exact_turn(image, cfg.exact_turn)
-        _write_raster(cfg.output, decode(result_image), cfg.ascii_output)
+    image = _load_image(args.input)
+    if args.exact_turn is not None:
+        _write_raster(args.output, decode(exact_turn(image, args.exact_turn)), args)
         return EXIT_OK
-    result = rotate(image, RotationSpec(cfg.angle), cfg.canvas, _backend(cfg))
-    _write_raster(cfg.output, decode(result.final), cfg.ascii_output)
-    if cfg.emit_intermediates:
-        _write_raster(_intermediate_path(cfg.output, 1), decode(result.phase1), cfg.ascii_output)
-        _write_raster(_intermediate_path(cfg.output, 2), decode(result.phase2), cfg.ascii_output)
+    result = rotate(image, RotationSpec(args.angle), args.canvas, _backend(args))
+    _write_raster(args.output, decode(result.final), args)
+    if args.emit_intermediates:
+        _write_raster(_intermediate_path(args.output, 1), decode(result.phase1), args)
+        _write_raster(_intermediate_path(args.output, 2), decode(result.phase2), args)
     return EXIT_OK
 
 
-def _cmd_shear(cfg: CommandConfig) -> int:
-    image = _load_image(cfg.input)
-    if cfg.factor is not None:
-        spec = ShearSpec.from_factor(cfg.axis, cfg.factor, image.n)
+def _cmd_shear(args: argparse.Namespace) -> int:
+    image = _load_image(args.input)
+    if args.factor is not None:
+        spec = ShearSpec.from_factor(args.axis, args.factor, image.n)
     else:
-        spec = ShearSpec.for_angle(cfg.axis, cfg.angle, image.n)
-    sheared = apply_shear(image, spec, cfg.canvas, _backend(cfg))
-    _write_raster(cfg.output, decode(sheared), cfg.ascii_output)
+        spec = ShearSpec.for_angle(args.axis, args.angle, image.n)
+    sheared = apply_shear(image, spec, args.canvas, _backend(args))
+    _write_raster(args.output, decode(sheared), args)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: CommandConfig) -> int:
-    netlist = NetlistBackend(cfg.order)
-    if cfg.input is not None:
-        image = _load_image(cfg.input)
-    else:
-        side = cfg.size
+def _cmd_verify(args: argparse.Namespace) -> int:
+    netlist = NetlistBackend(args.order)
+    image = None if args.input is None else _load_image(args.input)
+    spec = RotationSpec(args.angle)
+    if image is None:
+        side = args.size
         if side < 2 or side & (side - 1):
             raise DomainError(f"--size must be a power of two of at least 2, got {side}")
         # refuse what the netlist backend cannot run before the checkerboard is built
-        checked_phase_specs(RotationSpec(cfg.angle), side.bit_length() - 1, netlist)
+        for phase in spec.phase_specs(side.bit_length() - 1):
+            netlist.check(phase)
         image = encode(patterns.checkerboard(side, tile=max(side // 8, 1)))
-    spec = RotationSpec(cfg.angle)
     # netlist first: it refuses what it cannot run before the semantic engine works
     gates = decode(rotate(image, spec, backend=netlist).final)
     semantic = decode(rotate(image, spec).final)
-    reference = oracle_rotate(image.raster(), cfg.angle)
+    reference = oracle_rotate(image.raster(), args.angle)
     ok = bool(np.array_equal(gates, semantic) and np.array_equal(semantic, reference))
     print(f"netlist == semantic == oracle: {'PASS' if ok else 'FAIL'}")
-    ideal = ideal_rotate(image.raster(), cfg.angle)
+    ideal = ideal_rotate(image.raster(), args.angle)
     print(f"ideal-rotation agreement (informational): {agreement_fraction(semantic, ideal):.4f}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _cmd_audit(cfg: CommandConfig) -> int:
-    if not (1 <= cfg.n_min <= cfg.n_max and 4 <= cfg.m_min <= cfg.m_max):
+def _cmd_audit(args: argparse.Namespace) -> int:
+    if not (1 <= args.n_min <= args.n_max and 4 <= args.m_min <= args.m_max):
         raise DomainError(
             "audit needs 1 <= n-min <= n-max and 4 <= m-min <= m-max, got "
-            f"n {cfg.n_min}..{cfg.n_max}, m {cfg.m_min}..{cfg.m_max}"
+            f"n {args.n_min}..{args.n_max}, m {args.m_min}..{args.m_max}"
         )
-    report = audit_report(range(cfg.n_min, cfg.n_max + 1), range(cfg.m_min, cfg.m_max + 1))
+    report = audit_report(range(args.n_min, args.n_max + 1), range(args.m_min, args.m_max + 1))
     print(report.to_table())
-    side = 64
-    sheared = decode(rotate(encode(patterns.checkerboard(side)), RotationSpec(45)).final)
-    agreement = agreement_fraction(sheared, ideal_rotate(patterns.checkerboard(side), 45))
-    print(f"ideal-rotation agreement, 45 deg on {side}x{side} checkerboard "
-          f"(informational): {agreement:.4f}")
-    if cfg.report:
-        try:
-            with open(cfg.report, "w") as fh:
-                fh.write(report.to_csv())
-        except OSError as exc:
-            raise _WriteFailure(f"cannot write {cfg.report}: {exc}") from exc
+    if args.report:
+        with _output(args.report), open(args.report, "w") as fh:
+            fh.write(report.to_csv())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -193,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the two intermediate shear frames "
                           "(suffixes .phase1.pgm, .phase2.pgm)")
     add_common(rot)
+    rot.set_defaults(handler=_cmd_rotate)
 
     shear = sub.add_parser("shear", help="apply a single axis shear")
     shear.add_argument("--input", required=True)
@@ -206,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "horizontal, sin(angle) for vertical")
     shear.add_argument("--canvas", choices=["clip", "expand"], default="clip")
     add_common(shear)
+    shear.set_defaults(handler=_cmd_shear)
 
     for p in (rot, shear):
         p.add_argument("--mode", choices=["semantic", "netlist"], default="semantic",
@@ -219,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--size", type=int, default=16,
                         help="side of the built-in test image (default 16)")
     add_common(verify, output=False)
+    verify.set_defaults(handler=_cmd_verify)
 
     aud = sub.add_parser("audit", help="compare measured gate counts against closed forms")
     aud.add_argument("--report", help="also write the table as CSV to this path")
@@ -226,42 +210,40 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--n-max", type=int, default=6)
     aud.add_argument("--m-min", type=int, default=4)
     aud.add_argument("--m-max", type=int, default=8)
+    aud.set_defaults(handler=_cmd_audit)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CommandConfig:
-    cfg = CommandConfig(subcommand=args.subcommand)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed namespace, unchanged: the handlers read it directly.  Kept
+    for ``run(config_from_args(build_parser().parse_args(argv)))``, the
+    in-process call of ``perfbench/run.py`` and the tests."""
+    return args
 
 
-def run(cfg: CommandConfig) -> int:
-    """Dispatch one parsed command; returns the process exit code."""
-    handlers = {
-        "rotate": _cmd_rotate,
-        "shear": _cmd_shear,
-        "verify": _cmd_verify,
-        "audit": _cmd_audit,
-    }
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command; returns the process exit code."""
     try:
-        return handlers[cfg.subcommand](cfg)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
     except ImageFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        code, reason = EXIT_FORMAT, exc
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        code, reason = EXIT_DOMAIN, exc
     except _WriteFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WRITE
+        code, reason = EXIT_WRITE, exc
+    except BrokenPipeError as exc:  # every file output raises _WriteFailure instead
+        # the null device takes what is still buffered, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, reason = EXIT_WRITE, f"cannot write standard output: {exc}"
+    print(f"error: {reason}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
-    sys.exit(run(config_from_args(args)))
+    sys.exit(run(config_from_args(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -26,15 +26,15 @@ frame with the image centred, its origin 3 * 2^(n-1) inside.  Both frames
 share the median, so the shears are the same; on the wide frame no rotation
 term comes closer than 2^(n-1) to the edge, so nothing is clipped.
 
-``rotate`` and ``apply_shear`` are the one pipeline; they carry the terms
-as numpy columns (``neqr.Terms``).  Each shear phase runs on a pluggable
-backend, which drops the terms leaving the frame: ``SEMANTIC`` (the
-default) or the gate-level ``shear_netlists.NetlistBackend``.  ``line_steps``
-states the four equations once, on an array of frame lines; it is the one
-displacement rule, with no per-term twin.  ``SEMANTIC`` shifts every term
-by its line's step in one gather and masks only the moved column, since the
-driver column does not change.  A backend refuses the requests it cannot
-run before any term is sheared.
+``rotate`` and ``apply_shear`` call one phase runner, the one pipeline; it
+carries the terms as numpy columns (``neqr.Terms``).  Each shear phase runs
+on a pluggable backend, which drops the terms leaving the frame:
+``SEMANTIC`` (the default) or the gate-level ``shear_netlists.NetlistBackend``.
+``line_steps`` states the four equations once, on an array of frame lines;
+it is the one displacement rule, with no per-term twin.  ``SEMANTIC`` shifts
+every term by its line's step in one gather and masks only the moved column,
+since the driver column does not change.  A backend refuses the requests it
+cannot run before any term is sheared.
 """
 from __future__ import annotations
 
@@ -211,26 +211,31 @@ def _frame(n: int, canvas: str) -> tuple[int, int]:
     raise ValueError(f"canvas must be clip or expand, got {canvas!r}")
 
 
+def _run_phases(
+    image: NEQRImage, phases: tuple[ShearSpec, ...], canvas: str, backend: PhaseBackend
+) -> list[NEQRImage]:
+    """Run ``phases``, specs for the image's own frame, on the frame the canvas
+    picks; one snapshot per phase."""
+    exponent, offset = _frame(image.n, canvas)
+    framed = [replace(phase, n=exponent) for phase in phases]
+    for phase in framed:
+        backend.check(phase)
+    terms = image.terms(offset)
+    snapshots = []
+    for phase in framed:
+        terms = backend.shear(terms, phase)
+        snapshots.append(NEQRImage.from_terms(exponent, terms))
+    return snapshots
+
+
 def apply_shear(
     image: NEQRImage, spec: ShearSpec, canvas: str = "clip", backend: PhaseBackend = SEMANTIC
 ) -> NEQRImage:
     """Shear every term of an image; vacated positions take background 0."""
     if spec.n != image.n:
         raise ValueError(f"spec built for 2^{spec.n} frame, image is 2^{image.n}")
-    exponent, offset = _frame(image.n, canvas)
-    spec = replace(spec, n=exponent)
-    backend.check(spec)
-    return NEQRImage.from_terms(exponent, backend.shear(image.terms(offset), spec))
-
-
-def checked_phase_specs(
-    spec: RotationSpec, n: int, backend: PhaseBackend
-) -> tuple[ShearSpec, ShearSpec, ShearSpec]:
-    """The three phase specs for a 2^n frame, each vetted by the backend."""
-    phase_specs = spec.phase_specs(n)
-    for phase in phase_specs:
-        backend.check(phase)
-    return phase_specs
+    (sheared,) = _run_phases(image, (spec,), canvas, backend)
+    return sheared
 
 
 def rotate(
@@ -242,14 +247,8 @@ def rotate(
     as each intermediate image shows.  The backend vets all three phases
     before the first one runs.
     """
-    exponent, offset = _frame(image.n, canvas)
-    phase_specs = checked_phase_specs(spec, exponent, backend)
-    terms = image.terms(offset)
-    snapshots = []
-    for phase in phase_specs:
-        terms = backend.shear(terms, phase)
-        snapshots.append(NEQRImage.from_terms(exponent, terms))
-    return RotationResult(snapshots[2], snapshots[0], snapshots[1])
+    phase1, phase2, final = _run_phases(image, spec.phase_specs(image.n), canvas, backend)
+    return RotationResult(final, phase1, phase2)
 
 
 def exact_turn(image: NEQRImage, degrees: int) -> NEQRImage:

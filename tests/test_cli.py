@@ -1,3 +1,9 @@
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,7 @@ from qimrot.cli import (
     EXIT_FORMAT,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_WRITE,
     build_parser,
     config_from_args,
     run,
@@ -164,7 +171,9 @@ def test_audit_writes_csv_and_passes(tmp_path, capsys):
     lines = open(report).read().strip().splitlines()
     assert lines[0] == "kind,n,m,predicted,measured_core,overhead,delta"
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
-    assert "all core deltas zero" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "all core deltas zero" in out
+    assert "ideal-rotation agreement" not in out  # that number comes from verify
 
 
 class TestErrorExits:
@@ -279,7 +288,78 @@ class TestErrorExits:
             build_parser().parse_args(["verify", "--angle", "30", "--mode", "netlist"])
         assert exc.value.code == 2
 
-    def test_verify_mismatch_exit_used_for_failures(self):
-        # agreement always holds for this implementation; the code path is
-        # covered by checking the constant is distinct
-        assert EXIT_MISMATCH == 1
+    def test_verify_mismatch_exit_used_for_failures(self, monkeypatch, capsys):
+        def oracle_off_by_one_pixel(raster, angle):
+            reference = oracle_rotate(raster, angle)
+            reference[0, 0] ^= 1
+            return reference
+
+        monkeypatch.setattr(cli, "oracle_rotate", oracle_off_by_one_pixel)
+        assert invoke(["verify", "--angle", "30"]) == EXIT_MISMATCH
+        assert "netlist == semantic == oracle: FAIL" in capsys.readouterr().out
+
+    def test_rotate_output_into_missing_directory(self, tmp_path, image_file, capsys):
+        out = tmp_path / "missing" / "out.pgm"
+        assert invoke(["rotate", "--input", image_file, "--output", str(out),
+                       "--angle", "30", "--emit-intermediates"]) == EXIT_WRITE
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+    def test_audit_report_into_missing_directory(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "audit.csv"
+        assert invoke(["audit", "--n-max", "3", "--m-max", "5",
+                       "--report", str(report)]) == EXIT_WRITE
+        assert f"cannot write {report}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("buffering", ["unbuffered", "block-buffered"])
+    @pytest.mark.parametrize("argv", [["verify", "--angle", "30"], ["audit", "--n-max", "3"]],
+                             ids=["verify", "audit"])
+    def test_closed_stdout(self, argv, buffering):
+        # as under `qimrot verify | head -1`: stdout is a pipe nobody reads.
+        # Unbuffered, the first print fails; block-buffered, the output fails
+        # only when flushed, and the interpreter flushes again at exit.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qimrot.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_WRITE, err
+        assert "cannot write standard output" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_cli_surface():
+    # argparse is the one place holding the options and their defaults
+    common = ["-h", "--help", "--order"]
+    written = [*common, "--input", "--output", "--ascii", "--mode", "--canvas"]
+    expected = {
+        "rotate": [*written, "--angle", "--exact-turn", "--emit-intermediates"],
+        "shear": [*written, "--axis", "--factor", "--angle"],
+        "verify": [*common, "--angle", "--input", "--size"],
+        "audit": ["-h", "--help", "--report", "--n-min", "--n-max", "--m-min", "--m-max"],
+    }
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = sub.choices
+    assert sorted(parsers) == sorted(expected)
+    for name, options in expected.items():
+        actual = [o for action in parsers[name]._actions for o in action.option_strings]
+        assert sorted(actual) == sorted(options), name
+
+    parse = parser.parse_args
+    verify = parse(["verify", "--angle", "30"])
+    assert (verify.size, verify.order) == (16, "tb")
+    audit = parse(["audit"])
+    assert (audit.n_min, audit.n_max, audit.m_min, audit.m_max) == (2, 6, 4, 8)
+    for head in (["rotate", "--angle", "30"], ["shear", "--axis", "vertical", "--factor", "0.5"]):
+        args = parse([*head, "--input", "in.pgm", "--output", "out.pgm"])
+        assert (args.canvas, args.mode, args.order) == ("clip", "semantic", "tb"), head[0]
