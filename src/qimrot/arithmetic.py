@@ -42,20 +42,6 @@ from dataclasses import dataclass
 
 from .core import Netlist, NetlistBuilder, invert
 
-__all__ = [
-    "FixedPointValue",
-    "build_adder",
-    "build_subtractor",
-    "build_self_adder",
-    "build_ctrl_multi",
-    "build_interpolation",
-    "emit_adder",
-    "emit_modular_adder",
-    "emit_self_adder",
-    "emit_ctrl_multi",
-    "emit_interpolation",
-]
-
 
 @dataclass(frozen=True)
 class FixedPointValue:

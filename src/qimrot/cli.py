@@ -5,9 +5,10 @@ namespace: argparse alone holds the options and their defaults.
 
 Exit codes: 0 success (and, for verify/audit, full agreement); 1 a
 verification or audit comparison failed; 2 unreadable or malformed image
-input; 3 unsupported angle or parameter domain (including the netlist-mode
-frame and factor limits); 4 output could not be written (an output raster,
-the audit's --report CSV, or a closed standard output).
+input, or an option combination argparse refuses; 3 unsupported angle or
+parameter domain (including the netlist-mode frame and factor limits); 4
+output could not be written (an output raster, the audit's --report CSV, or
+a closed standard output).
 """
 from __future__ import annotations
 
@@ -79,8 +80,12 @@ def _backend(args: argparse.Namespace) -> PhaseBackend:
 
 
 def _cmd_rotate(args: argparse.Namespace) -> int:
-    if args.exact_turn is not None and args.emit_intermediates:
-        raise DomainError("--emit-intermediates needs shear phases; an exact turn has none")
+    if args.exact_turn is not None:
+        for option, given in (("--emit-intermediates", args.emit_intermediates),
+                              ("--canvas expand", args.canvas == "expand"),
+                              ("--mode netlist", args.mode == "netlist")):
+            if given:
+                raise DomainError(f"{option} needs shear phases; an exact turn has none")
     image = _load_image(args.input)
     if args.exact_turn is not None:
         _write_raster(args.output, decode(exact_turn(image, args.exact_turn)), args)
@@ -152,33 +157,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, output: bool = True) -> None:
-        p.add_argument("--order", choices=["tb", "bt"], default="tb",
-                       help="which half a netlist-mode phase processes first "
-                            "(demonstration only; results are identical)")
-        if output:
-            p.add_argument("--ascii", dest="ascii_output", action="store_true",
-                           help="write P2 (ASCII) instead of P5")
+    order = dict(choices=["tb", "bt"], default="tb",
+                 help="which half a netlist-mode phase processes first "
+                      "(demonstration only; results are identical)")
+
+    def add_image_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--input", required=True, help="input PGM (square, power-of-two side)")
+        p.add_argument("--output", required=True, help="output PGM")
+        p.add_argument("--canvas", choices=["clip", "expand"], default="clip",
+                       help="clip to the original frame (default) or keep displaced "
+                            "pixels on a 4x wider frame")
+        p.add_argument("--mode", choices=["semantic", "netlist"], default="semantic",
+                       help="semantic term arithmetic (default) or full gate execution")
+        p.add_argument("--order", **order)
+        p.add_argument("--ascii", dest="ascii_output", action="store_true",
+                       help="write P2 (ASCII) instead of P5")
 
     rot = sub.add_parser("rotate", help="rotate an image by an arbitrary angle")
-    rot.add_argument("--input", required=True, help="input PGM (square, power-of-two side)")
-    rot.add_argument("--output", required=True, help="output PGM")
+    add_image_options(rot)
     group = rot.add_mutually_exclusive_group(required=True)
     group.add_argument("--angle", type=float, help="degrees, |angle| < 90, positive = counter-clockwise")
     group.add_argument("--exact-turn", type=int, choices=[90, 180, 270],
                        help="exact quarter turns as coordinate permutations (no shears)")
-    rot.add_argument("--canvas", choices=["clip", "expand"], default="clip",
-                     help="clip to the original frame (default) or keep displaced "
-                          "pixels on a 4x wider frame")
     rot.add_argument("--emit-intermediates", action="store_true",
                      help="also write the two intermediate shear frames "
                           "(suffixes .phase1.pgm, .phase2.pgm)")
-    add_common(rot)
     rot.set_defaults(handler=_cmd_rotate)
 
     shear = sub.add_parser("shear", help="apply a single axis shear")
-    shear.add_argument("--input", required=True)
-    shear.add_argument("--output", required=True)
+    add_image_options(shear)
     shear.add_argument("--axis", choices=["horizontal", "vertical"], required=True)
     factor_group = shear.add_mutually_exclusive_group(required=True)
     factor_group.add_argument("--factor", type=float,
@@ -186,22 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     factor_group.add_argument("--angle", type=float,
                               help="derive the factor from an angle: tan(angle/2) for "
                                    "horizontal, sin(angle) for vertical")
-    shear.add_argument("--canvas", choices=["clip", "expand"], default="clip")
-    add_common(shear)
     shear.set_defaults(handler=_cmd_shear)
-
-    for p in (rot, shear):
-        p.add_argument("--mode", choices=["semantic", "netlist"], default="semantic",
-                       help="semantic term arithmetic (default) or full gate execution")
 
     verify = sub.add_parser(
         "verify", help="check netlist mode == semantic mode == classical oracle"
     )
     verify.add_argument("--angle", type=float, required=True)
-    verify.add_argument("--input", help="PGM to verify on (default: built-in checkerboard)")
-    verify.add_argument("--size", type=int, default=16,
-                        help="side of the built-in test image (default 16)")
-    add_common(verify, output=False)
+    image_group = verify.add_mutually_exclusive_group()
+    image_group.add_argument("--input", help="PGM to verify on (default: built-in checkerboard)")
+    image_group.add_argument("--size", type=int, default=16,
+                             help="side of the built-in test image (default 16)")
+    verify.add_argument("--order", **order)
     verify.set_defaults(handler=_cmd_verify)
 
     aud = sub.add_parser("audit", help="compare measured gate counts against closed forms")

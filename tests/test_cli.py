@@ -80,10 +80,13 @@ def test_exact_turn_matches_rot90(tmp_path, image_file):
     assert np.array_equal(read_pgm(out), np.rot90(read_pgm(image_file)))
 
 
-def test_exact_turn_refuses_intermediates_and_writes_nothing(tmp_path, image_file, capsys):
+@pytest.mark.parametrize("tail", [["--emit-intermediates"], ["--canvas", "expand"],
+                                  ["--mode", "netlist"]],
+                         ids=["emit-intermediates", "canvas-expand", "mode-netlist"])
+def test_exact_turn_refuses_intermediates_and_writes_nothing(tmp_path, image_file, capsys, tail):
     out = str(tmp_path / "turn.pgm")
     assert invoke(["rotate", "--input", image_file, "--output", out,
-                   "--exact-turn", "90", "--emit-intermediates"]) == EXIT_DOMAIN
+                   "--exact-turn", "90", *tail]) == EXIT_DOMAIN
     assert "exact turn has no" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
@@ -287,6 +290,14 @@ class TestErrorExits:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["verify", "--angle", "30", "--mode", "netlist"])
         assert exc.value.code == 2
+
+    def test_verify_refuses_input_with_size(self, image_file, capsys):
+        # --input replaces the built-in image, so a --size with it would be ignored
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["verify", "--angle", "30", "--input", image_file,
+                                       "--size", "3"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --input" in capsys.readouterr().err
 
     def test_verify_mismatch_exit_used_for_failures(self, monkeypatch, capsys):
         def oracle_off_by_one_pixel(raster, angle):
