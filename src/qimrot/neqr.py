@@ -6,7 +6,7 @@ operation in this package permutes basis states, the uniform 1/2^n amplitude
 is a constant global factor and is never materialised; the codec is an exact
 bijection between rasters and term sets.  ``Terms`` holds a term set as
 three columns, so a transform moves all terms at once; it is the only term
-representation.
+representation.  ``paint`` is the one scatter of terms onto a raster.
 """
 from __future__ import annotations
 
@@ -25,14 +25,15 @@ class Terms:
     enforced when terms are materialised into an image, not here.  ``len``
     is the term count.  ``frame`` is n once every term is known to lie in
     the 2^n frame (set by clipping), else None, so clipping to that frame
-    again costs nothing.
+    again costs nothing.  Narrower integer coordinates are widened to int64;
+    uint64 and float ones are refused with TypeError.
     """
 
     __slots__ = ("y", "x", "color", "frame")
 
     def __init__(self, y: np.ndarray, x: np.ndarray, color: np.ndarray) -> None:
-        self.y = y
-        self.x = x
+        self.y = y.astype(np.int64, casting="safe", copy=False)
+        self.x = x.astype(np.int64, casting="safe", copy=False)
         self.color = color
         self.frame: int | None = None
 
@@ -80,12 +81,14 @@ class NEQRImage:
     def side(self) -> int:
         return 1 << self.n
 
-    def terms(self, offset: int = 0) -> Terms:
-        """The 4^n basis terms in row-major order, placed ``offset`` rows and
-        columns into a larger frame."""
+    def terms(self, offset: int = 0, rows: slice = slice(None)) -> Terms:
+        """The basis terms of the image rows ``rows`` (all 4^n by default) in
+        row-major order, placed ``offset`` rows and columns into a larger
+        frame."""
         coords = np.arange(offset, offset + self.side, dtype=np.int64)
-        y, x = np.repeat(coords, self.side), np.tile(coords, self.side)
-        return Terms(y, x, self._raster.ravel())
+        block = self._raster[rows]
+        y, x = np.repeat(coords[rows], self.side), np.tile(coords, len(block))
+        return Terms(y, x, block.ravel())
 
     def raster(self) -> np.ndarray:
         return self._raster.copy()
@@ -101,19 +104,36 @@ class NEQRImage:
         return f"NEQRImage({self.side}x{self.side})"
 
     @classmethod
+    def adopt(cls, n: int, canvas: np.ndarray) -> "NEQRImage":
+        """The image of ``canvas``, a flat row-major 4^n uint8 raster the
+        caller gives up: valid by construction, so held read-only, not copied."""
+        image = cls.__new__(cls)
+        image._hold(canvas.reshape(1 << n, 1 << n))
+        return image
+
+    @classmethod
     def from_terms(cls, n: int, terms: Terms) -> "NEQRImage":
         """Materialise in-frame terms onto a zero background.
 
         Terms outside [0, 2^n) in either coordinate are dropped (clipping).
         """
-        kept = terms.clip(n)
-        flat = kept.y << n
-        flat |= kept.x
         canvas = np.zeros(1 << 2 * n, dtype=np.uint8)
-        canvas[flat] = kept.color
-        image = cls.__new__(cls)  # the canvas is valid by construction: no copy
-        image._hold(canvas.reshape(1 << n, 1 << n))
-        return image
+        paint(canvas, n, terms)
+        return cls.adopt(n, canvas)
+
+
+def paint(canvas: np.ndarray, n: int, terms: Terms) -> None:
+    """Write the colors of the terms inside the 2^n frame onto ``canvas``, a
+    flat row-major 4^n uint8 raster; the terms outside are dropped.
+
+    In-frame terms must hit distinct positions, as the terms of one image
+    do under any shear, so painting blocks of terms in any order gives the
+    raster painting them all at once would.
+    """
+    kept = terms.clip(n)
+    flat = kept.y << n
+    flat |= kept.x
+    canvas[flat] = kept.color
 
 
 def encode(raster: np.ndarray) -> NEQRImage:

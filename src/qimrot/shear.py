@@ -30,6 +30,12 @@ term comes closer than 2^(n-1) to the edge, so nothing is clipped.
 carries the terms as numpy columns (``neqr.Terms``).  Each shear phase runs
 on a pluggable backend, which drops the terms leaving the frame:
 ``SEMANTIC`` (the default) or the gate-level ``shear_netlists.NetlistBackend``.
+Every shear maps each term on its own, so the runner streams the image's
+rows through all the phases in blocks of at most the backend's
+``BLOCK_TERMS`` terms and paints each phase's blocks onto that phase's
+snapshot (``neqr.paint``).  ``SEMANTIC`` takes 2^13 terms a block, so its
+temporaries stay small enough for the heap to recycle; the netlist backend
+takes every image it accepts in one block, one netlist walk per phase.
 ``line_steps`` states the four equations once, on an array of frame lines;
 it is the one displacement rule, with no per-term twin.  ``SEMANTIC`` shifts
 every term by its line's step in one gather and masks only the moved column,
@@ -40,12 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
 
 from .arithmetic import FixedPointValue
-from .neqr import NEQRImage, Terms
+from .neqr import NEQRImage, Terms, paint
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -154,12 +161,25 @@ def line_steps(lines: np.ndarray, spec: ShearSpec) -> np.ndarray:
     return sign * np.sign(offset) * np.minimum(d, side)
 
 
+@lru_cache(maxsize=4)
+def _step_table(spec: ShearSpec) -> np.ndarray:
+    """``line_steps`` of every line of the spec's frame, read-only: computed
+    once for all the blocks of a phase."""
+    steps = line_steps(np.arange(1 << spec.n), spec)
+    steps.setflags(write=False)
+    return steps
+
+
 class PhaseBackend(Protocol):
     """How one shear phase is computed.
 
     Input terms must be in the spec's 2^n frame; terms that leave it are
     dropped.  The driver coordinate of every kept term is unchanged.
+    ``BLOCK_TERMS`` is the most terms one ``shear`` call takes; a block
+    holds whole image rows, so a row longer than that is a block of its own.
     """
+
+    BLOCK_TERMS: int
 
     def check(self, spec: ShearSpec) -> None:
         """Raise a DomainError if this backend cannot run the phase."""
@@ -172,6 +192,11 @@ class SemanticBackend:
     """Plain integer arithmetic: a step per frame line, one gather and one
     mask on the moved column per phase; runs every phase."""
 
+    #: An int64 column of a block is 64 KiB, below glibc's default 128 KiB
+    #: mmap threshold, so the heap recycles every block temporary instead of
+    #: mapping (and page-faulting) fresh memory for each.
+    BLOCK_TERMS = 1 << 13
+
     def check(self, spec: ShearSpec) -> None:
         pass
 
@@ -179,14 +204,14 @@ class SemanticBackend:
         side = 1 << spec.n
         horizontal = spec.axis == HORIZONTAL
         driver, moved = (terms.y, terms.x) if horizontal else (terms.x, terms.y)
-        shifted = line_steps(np.arange(side), spec)[driver]
+        shifted = _step_table(spec)[driver]
         shifted += moved  # in place on the fresh gather, never on an input column
         # the driver column is unchanged and in frame: mask the moved one only
         inside = shifted.view(np.uint64) < side  # a negative coordinate reads as huge
         color = terms.color
         if not inside.all():
-            shifted = shifted[inside]  # drop the full column before the next copy
-            driver, color = driver[inside], color[inside]
+            kept = np.flatnonzero(inside)
+            shifted, driver, color = shifted.take(kept), driver.take(kept), color.take(kept)
         out = Terms(driver, shifted, color) if horizontal else Terms(shifted, driver, color)
         out.frame = spec.n
         return out
@@ -215,17 +240,25 @@ def _run_phases(
     image: NEQRImage, phases: tuple[ShearSpec, ...], canvas: str, backend: PhaseBackend
 ) -> list[NEQRImage]:
     """Run ``phases``, specs for the image's own frame, on the frame the canvas
-    picks; one snapshot per phase."""
+    picks; one snapshot per phase.
+
+    A term's path through the phases never depends on another term, so the
+    image's rows go through in blocks of at most the backend's
+    ``BLOCK_TERMS`` terms: each block runs all phases, painting each phase's
+    terms onto that phase's snapshot canvas, and no block outlives its turn.
+    """
     exponent, offset = _frame(image.n, canvas)
     framed = [replace(phase, n=exponent) for phase in phases]
     for phase in framed:
         backend.check(phase)
-    terms = image.terms(offset)
-    snapshots = []
-    for phase in framed:
-        terms = backend.shear(terms, phase)
-        snapshots.append(NEQRImage.from_terms(exponent, terms))
-    return snapshots
+    canvases = [np.zeros(1 << 2 * exponent, dtype=np.uint8) for _ in framed]
+    rows = max(1, backend.BLOCK_TERMS >> image.n)
+    for start in range(0, image.side, rows):
+        terms = image.terms(offset, slice(start, start + rows))
+        for phase, painted in zip(framed, canvases):
+            terms = backend.shear(terms, phase)
+            paint(painted, exponent, terms)
+    return [NEQRImage.adopt(exponent, painted) for painted in canvases]
 
 
 def apply_shear(

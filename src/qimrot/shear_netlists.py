@@ -199,6 +199,9 @@ class NetlistBackend:
     The one place that refuses what gate-level execution cannot run.
     """
 
+    #: Every image it accepts in one block: a phase is one netlist walk.
+    BLOCK_TERMS = 1 << 2 * MAX_NETLIST_EXPONENT
+
     def __init__(self, order: str = "tb") -> None:
         self.order = order
 

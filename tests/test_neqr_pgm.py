@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode
+from qimrot.patterns import random_raster
 from qimrot.pgm import read_pgm, write_pgm
 
 
@@ -76,6 +77,35 @@ class TestTerms:
         assert terms.y.tolist() == [3, 3, 4, 4]
         assert terms.x.tolist() == [3, 4, 3, 4]
         assert terms.color.tolist() == [5, 6, 7, 8]
+
+    def test_row_ranges_concatenate_to_all_terms(self):
+        img = encode(random_raster(8, seed=3))
+        whole = img.terms(offset=2)
+        blocks = [img.terms(2, slice(start, start + 3)) for start in range(0, 8, 3)]
+        assert [len(block) for block in blocks] == [24, 24, 16]
+        for name in ("y", "x", "color"):
+            joined = np.concatenate([getattr(block, name) for block in blocks])
+            assert np.array_equal(joined, getattr(whole, name))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int16, np.uint8])
+    def test_narrow_integer_coordinates_are_widened(self, dtype):
+        y, x = np.array([0, 1, 1, 2], dtype=dtype), np.array([1, 0, 2, 0], dtype=dtype)
+        terms = Terms(y, x, np.array([7, 8, 9, 6], dtype=np.uint8))
+        assert terms.y.dtype == terms.x.dtype == np.int64
+        assert columns(terms.clip(1)) == ([0, 1], [1, 0], [7, 8])
+        assert np.array_equal(decode(NEQRImage.from_terms(1, terms)), [[0, 7], [8, 0]])
+
+    def test_int32_clip_drops_negative_coordinates(self):
+        y, x = np.array([-1, 0, 1], dtype=np.int32), np.array([0, -2, 1], dtype=np.int32)
+        kept = Terms(y, x, np.array([3, 4, 5], dtype=np.uint8)).clip(1)
+        assert columns(kept) == ([1], [1], [5])
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.float64])
+    def test_coordinates_int64_cannot_hold_exactly_are_refused(self, dtype):
+        with pytest.raises(TypeError):
+            Terms(np.zeros(2, dtype=dtype), np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.uint8))
+        with pytest.raises(TypeError):
+            Terms(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=dtype), np.zeros(2, dtype=np.uint8))
 
     def test_clip_keeps_in_frame_terms_in_order(self):
         mixed = make_terms([1, -1, 0, 0, 2], [1, 0, 2, 0, 1], [1, 2, 3, 4, 5])

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from qimrot.arithmetic import FixedPointValue
 from qimrot.neqr import Terms, decode, encode
-from qimrot.oracle import rotation_coordinate_map
+from qimrot.oracle import oracle_shear, rotation_coordinate_map
 from qimrot.patterns import random_raster, row_bands
 from qimrot.shear import (
     HORIZONTAL,
     SEMANTIC,
     VERTICAL,
     RotationSpec,
+    SemanticBackend,
     ShearSpec,
     UnsupportedAngleError,
     apply_shear,
@@ -37,13 +39,9 @@ def vspec(q16, n, sign=1):
 def assert_rotation_round_trip(raster, theta, backend):
     """rotate(theta) on the expand canvas, then rotate(-theta) on that frame's
     own clip canvas, is the input at the expand offset on a zero background."""
-    side = raster.shape[0]
-    exponent, offset = expanded_canvas_params(side.bit_length() - 1)
     there = rotate(encode(raster), RotationSpec(theta), "expand", backend).final
     back = rotate(there, RotationSpec(-theta), "clip", backend).final
-    expected = np.zeros((1 << exponent, 1 << exponent), dtype=np.uint8)
-    expected[offset : offset + side, offset : offset + side] = raster
-    assert np.array_equal(decode(back), expected)
+    assert np.array_equal(decode(back), framed_raster(raster, "expand"))
 
 
 def reference_shear(terms, spec):
@@ -243,6 +241,11 @@ class TestSemanticBackend:
         rotate(img, RotationSpec(np.degrees(np.arctan(factor))), canvas)
         assert np.array_equal(img.raster(), raster)
 
+    def test_narrow_input_columns_come_out_int64(self):
+        y, x = np.array([1, 2, 3], dtype=np.int32), np.array([0, 3, 1], dtype=np.int16)
+        out = SEMANTIC.shear(Terms(y, x, np.ones(3, dtype=np.uint8)), vspec(8, 2))
+        assert out.y.dtype == out.x.dtype == np.int64
+
     def test_dtypes_survive_clip(self):
         y, x = np.array([0, 7], dtype=np.int64), np.array([-3, 1], dtype=np.int64)
         kept = Terms(y, x, np.array([9, 255], dtype=np.uint8)).clip(3)
@@ -318,6 +321,16 @@ class TestRotate:
         clipped = rotate(img, RotationSpec(60), canvas="clip")
         assert np.count_nonzero(decode(clipped.final)) < 16 * 16
 
+    @pytest.mark.parametrize("theta", [30, 45, 60])
+    def test_expand_canvas_at_the_papers_scale_is_the_oracle_chain(self, theta):
+        """The paper's 512x512 rotation on the expand canvas, with both
+        intermediate frames, against the oracle on the padded 2048 frame."""
+        raster = random_raster(512, seed=512)
+        res = rotate(encode(raster), RotationSpec(theta), "expand")
+        oracle = oracle_chain(framed_raster(raster, "expand"), theta)
+        for got, want in zip((res.phase1, res.phase2, res.final), oracle):
+            assert np.array_equal(decode(got), want)
+
     @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=5),
@@ -360,6 +373,80 @@ class TestRotate:
     def test_netlist_expand_then_inverse_rotation_restores_the_image(self, n, theta):
         # both rotations run on the 2^(n+2) frame, at most the netlist limit 2^9
         assert_rotation_round_trip(random_raster(1 << n, seed=n), theta, NetlistBackend())
+
+
+def count_shears(monkeypatch, backend_class):
+    """The term count of every ``shear`` call the backend class gets, in order."""
+    sizes = []
+    shear_terms = backend_class.shear
+
+    def counted(self, terms, spec):
+        sizes.append(len(terms))
+        return shear_terms(self, terms, spec)
+
+    monkeypatch.setattr(backend_class, "shear", counted)
+    return sizes
+
+
+def framed_raster(raster, canvas):
+    """The raster on the frame the canvas runs on, zero-padded at its offset."""
+    side = raster.shape[0]
+    if canvas == "clip":
+        return raster
+    exponent, offset = expanded_canvas_params(side.bit_length() - 1)
+    padded = np.zeros((1 << exponent, 1 << exponent), dtype=np.uint8)
+    padded[offset : offset + side, offset : offset + side] = raster
+    return padded
+
+
+def oracle_chain(framed, theta):
+    """phase1, phase2, final: the oracle's three shears of a rotation, on a
+    raster already on the canvas's frame."""
+    tan_half, sin_full = math.tan(math.radians(theta) / 2), math.sin(math.radians(theta))
+    phase1 = oracle_shear(framed, HORIZONTAL, tan_half)
+    phase2 = oracle_shear(phase1, VERTICAL, sin_full)
+    return phase1, phase2, oracle_shear(phase2, HORIZONTAL, tan_half)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("side, canvas", [(512, "clip"), (128, "expand")])
+    def test_netlist_backend_walks_each_phase_once(self, monkeypatch, side, canvas):
+        """Every image the netlist backend accepts is one block, so a phase
+        is one netlist walk over all its terms."""
+        sizes = count_shears(monkeypatch, NetlistBackend)
+        rotate(encode(random_raster(side, seed=side)), RotationSpec(30), canvas, NetlistBackend())
+        assert len(sizes) == 3 and sizes[0] == side * side
+
+    @pytest.mark.parametrize("side, canvas", [(512, "clip"), (512, "expand"), (16, "clip")])
+    def test_semantic_backend_never_takes_more_than_its_block(self, monkeypatch, side, canvas):
+        sizes = count_shears(monkeypatch, SemanticBackend)
+        rotate(encode(random_raster(side, seed=side)), RotationSpec(45), canvas)
+        blocks = -(-side * side // SemanticBackend.BLOCK_TERMS)
+        assert len(sizes) == 3 * blocks
+        assert max(sizes) <= SemanticBackend.BLOCK_TERMS
+        assert sum(sizes[::3]) == side * side  # every term enters phase 1 once
+
+    @pytest.mark.parametrize("canvas", ["clip", "expand"])
+    @pytest.mark.parametrize("block", [1, 3 * 16, 16 * 16], ids=["1-term", "3-rows", "whole-image"])
+    def test_block_size_does_not_change_outputs(self, monkeypatch, canvas, block):
+        """Blocks of one term (one row), of 3 rows (which do not divide the
+        side) and of the whole image give the default run's frames, which
+        are the oracle's shear chain."""
+        side, theta, factor = 16, -37.5, 0.7
+        raster = random_raster(side, seed=23)
+        img = encode(raster)
+        spec = ShearSpec.from_factor(VERTICAL, factor, img.n)
+        default = rotate(img, RotationSpec(theta), canvas), apply_shear(img, spec, canvas)
+        monkeypatch.setattr(SemanticBackend, "BLOCK_TERMS", block)
+        res, sheared = rotate(img, RotationSpec(theta), canvas), apply_shear(img, spec, canvas)
+
+        frames = (res.phase1, res.phase2, res.final)
+        assert frames == (default[0].phase1, default[0].phase2, default[0].final)
+        assert sheared == default[1]
+        framed = framed_raster(raster, canvas)
+        for got, want in zip(frames, oracle_chain(framed, theta)):
+            assert np.array_equal(decode(got), want)
+        assert np.array_equal(decode(sheared), oracle_shear(framed, VERTICAL, factor))
 
 
 class TestExactTurns:
