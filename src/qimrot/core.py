@@ -7,16 +7,22 @@ are basis permutations, and superposed inputs follow by linearity without
 ever materialising amplitudes.  A wire is its index, and a basis state is a
 plain int whose bit ``i`` is wire ``i``.
 
-A gate is a named tuple ``(kind, target, controls, overhead)``, checked once
-when made: by ``Gate`` when built by hand, or by the ``NetlistBuilder``
-method that emits it.  A ``Netlist`` checks every wire against its table.
+A netlist keeps its gates as four flat columns, one entry per gate: the
+target wire, the first control, the second control and the overhead flag.
+A control that fires on \\|1> is its wire, one that fires on \\|0> is the
+complement ``~wire``, and a missing control is ``None``, so the gate's kind
+is its number of controls.  Building, walking and pricing a netlist make no
+Python object per gate.  ``Netlist.gates`` makes the named tuples ``Gate(kind,
+target, controls, overhead)`` from the columns on first read, for dumps,
+digests and the reference executor.  A ``Gate`` built by hand is checked
+when made, each ``NetlistBuilder`` method checks the gate it emits, and a
+``Netlist`` checks every wire against its table.
 
-Two executors share each netlist's gate list.  ``execute`` takes one basis
-state and is the reference.  ``execute_lanes`` runs many states at once,
-bit-sliced: wire ``i`` is one int whose bit ``j`` is that wire in lane
-``j``, so the netlist is walked once for every lane.  Its per-gate form is
-compiled in one pass on first use and kept on the ``Netlist``.  Registers go
-in and come out as int64 columns, one value per lane.
+Two executors.  ``execute`` takes one basis state, walks the ``Gate``
+tuples and is the reference.  ``execute_lanes`` runs many states at once,
+bit-sliced, straight from the columns: wire ``i`` is one int whose bit ``j``
+is that wire in lane ``j``, so the netlist is walked once for every lane.
+Registers go in and come out as int64 columns, one value per lane.
 
 Cost accounting uses CNOT-equivalents: NOT and CNOT count 1, a Toffoli counts
 6, and each control-on-0 polarity adds 2 (one basis flip before and one
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -81,12 +88,27 @@ class Gate(namedtuple("Gate", "kind target controls overhead")):
         return cls(*iterable)
 
 
+def _control(signed: int) -> tuple[int, int]:
+    """A column control as a ``(wire, polarity)`` pair."""
+    return (signed, 1) if signed >= 0 else (~signed, 0)
+
+
+def _refuse(kind: str, target: int, controls: tuple[tuple[int, int], ...]) -> None:
+    """Raise for a gate that a builder method's quick check turned down."""
+    Gate(kind, target, controls)  # raises for every fault but a negative wire
+    # refused here, since a column would read it as a complemented control
+    wire = min((target, *(wire for wire, _ in controls)))
+    raise CircuitStructureError(f"wire {wire} is negative")
+
+
 class Netlist:
     """An ordered gate list over labelled wires, with named registers.
 
-    Immutable after construction.  Register wire lists are least significant
-    bit first.  ``ancillas`` names registers that must enter and leave every
-    execution at zero; builders uphold that contract and tests verify it.
+    Immutable after construction.  ``columns`` holds the gates as four
+    tuples (target, first control, second control, overhead flag; see the
+    module docstring).  Register wire lists are least significant bit first.
+    ``ancillas`` names registers that must enter and leave every execution at
+    zero; builders uphold that contract and tests verify it.
     """
 
     def __init__(
@@ -96,22 +118,45 @@ class Netlist:
         registers: dict[str, tuple[int, ...]],
         ancillas: frozenset[str] = frozenset(),
     ) -> None:
+        gates = tuple(gates)
+        targets, firsts, seconds, flags = columns = ([], [], [], [])
+        for _, target, controls, plumbing in gates:
+            signed = [None, None]
+            for k, (wire, on) in enumerate(controls):
+                if wire < 0:
+                    raise CircuitStructureError(f"gate control {wire} outside wire table")
+                signed[k] = wire if on else ~wire
+            targets.append(target)
+            firsts.append(signed[0])
+            seconds.append(signed[1])
+            flags.append(plumbing)
+        self._hold(labels, columns, registers, ancillas)
+        self.gates = gates  # fills the cached property: what was passed is what reads back
+
+    @classmethod
+    def _of_columns(cls, labels, columns, registers, ancillas) -> Netlist:
+        netlist = cls.__new__(cls)
+        netlist._hold(labels, columns, registers, ancillas)
+        return netlist
+
+    def _hold(self, labels, columns, registers, ancillas) -> None:
         self.labels = tuple(labels)
-        self.gates = tuple(gates)
+        self.columns = tuple(tuple(column) for column in columns)
         self.registers = dict(registers)
         self.ancillas = frozenset(ancillas)
-        self._compiled: list[tuple[int, int, int]] | None = None
-        self._lane_gates: list[tuple[tuple[int, ...], tuple[int, ...], int]] | None = None
         self._validate()
 
     def _validate(self) -> None:
         n = len(self.labels)
-        for _, target, controls, _ in self.gates:
-            if not 0 <= target < n:
-                raise CircuitStructureError(f"gate target {target} outside wire table")
-            for wire, _ in controls:
-                if not 0 <= wire < n:
-                    raise CircuitStructureError(f"gate control {wire} outside wire table")
+        targets, firsts, seconds, _ = self.columns
+        if targets and not (0 <= min(targets) and max(targets) < n):
+            wire = next(wire for wire in targets if not 0 <= wire < n)
+            raise CircuitStructureError(f"gate target {wire} outside wire table")
+        # wire w reads as w on |1> and ~w on |0>: in the table exactly when in [-n, n)
+        signed = [c for c in firsts + seconds if c is not None]
+        if signed and not (-n <= min(signed) and max(signed) < n):
+            wire = next(_control(c)[0] for c in signed if not -n <= c < n)
+            raise CircuitStructureError(f"gate control {wire} outside wire table")
         for name, ids in self.registers.items():
             for wire in ids:
                 if not 0 <= wire < n:
@@ -125,7 +170,7 @@ class Netlist:
             return NotImplemented
         return (
             self.labels == other.labels
-            and self.gates == other.gates
+            and self.columns == other.columns
             and self.registers == other.registers
             and self.ancillas == other.ancillas
         )
@@ -134,7 +179,7 @@ class Netlist:
 
     def __repr__(self) -> str:
         return (
-            f"Netlist({len(self.labels)} wires, {len(self.gates)} gates, "
+            f"Netlist({len(self.labels)} wires, {len(self.columns[0])} gates, "
             f"registers={list(self.registers)})"
         )
 
@@ -142,37 +187,33 @@ class Netlist:
     def num_wires(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates as ``Gate`` tuples, made from the columns on first read."""
+        gates = []
+        for target, first, second, plumbing in zip(*self.columns):
+            if first is None:
+                kind, controls = NOT, ()
+            elif second is None:
+                kind, controls = CNOT, (_control(first),)
+            else:
+                kind, controls = TOFFOLI, (_control(first), _control(second))
+            gates.append(_tuple_new(Gate, (kind, target, controls, plumbing)))
+        return tuple(gates)
+
+    @cached_property
     def compiled(self) -> list[tuple[int, int, int]]:
         """Per gate: (mask of on-1 controls, mask of on-0 controls, target flip mask)."""
-        if self._compiled is None:
-            comp = []
-            for _, target, controls, _ in self.gates:
-                m1 = m0 = 0
-                for wire, on in controls:
-                    if on:
-                        m1 |= 1 << wire
-                    else:
-                        m0 |= 1 << wire
-                comp.append((m1, m0, 1 << target))
-            self._compiled = comp
-        return self._compiled
-
-    @property
-    def lane_gates(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """Per gate: (on-1 control wires, on-0 control wires, target wire)."""
-        if self._lane_gates is None:
-            lanes = []
-            for _, target, controls, _ in self.gates:
-                ones = zeros = ()
-                for wire, on in controls:
-                    if on:
-                        ones += (wire,)
-                    else:
-                        zeros += (wire,)
-                lanes.append((ones, zeros, target))
-            self._lane_gates = lanes
-        return self._lane_gates
+        comp = []
+        for _, target, controls, _ in self.gates:
+            m1 = m0 = 0
+            for wire, on in controls:
+                if on:
+                    m1 |= 1 << wire
+                else:
+                    m0 |= 1 << wire
+            comp.append((m1, m0, 1 << target))
+        return comp
 
     def _fitting_wires(self, name: str, *values: int) -> tuple[int, ...]:
         """The register's wires, once every value is known to fit it."""
@@ -233,15 +274,14 @@ def execute_lanes(
             ids = netlist._fitting_wires(name, value)
             for k, wire in enumerate(ids):
                 wires[wire] = everyone if (value >> k) & 1 else 0
-    for ones, zeros, target in netlist.lane_gates:
-        if ones:
-            fire = wires[ones[0]]
-            for wire in ones[1:]:
-                fire &= wires[wire]
-        else:
+    targets, firsts, seconds, _ = netlist.columns
+    for target, first, second in zip(targets, firsts, seconds):
+        if first is None:
             fire = everyone
-        for wire in zeros:
-            fire &= ~wires[wire]
+        else:
+            fire = wires[first] if first >= 0 else everyone ^ wires[~first]
+            if second is not None:
+                fire &= wires[second] if second >= 0 else ~wires[~second]
         if fire:
             wires[target] ^= fire
     columns = {}
@@ -260,9 +300,9 @@ def execute_lanes(
 def invert(netlist: Netlist) -> Netlist:
     """Reverse the gate order.  Every primitive is self-inverse, so the
     result undoes the original: execute(invert(N), execute(N, s)) == s."""
-    return Netlist(
+    return Netlist._of_columns(
         netlist.labels,
-        tuple(reversed(netlist.gates)),
+        [column[::-1] for column in netlist.columns],
         netlist.registers,
         netlist.ancillas,
     )
@@ -282,15 +322,16 @@ def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
     """
     core = 0
     overhead = 0
-    for kind, _, controls, plumbing in netlist.gates:
+    _, firsts, seconds, flags = netlist.columns
+    for first, second, plumbing in zip(firsts, seconds, flags):
+        kind = NOT if first is None else CNOT if second is None else TOFFOLI
         if plumbing:
             overhead += _BASE_COST[kind]
         else:
             core += _BASE_COST[kind]
-        for _, on in controls:
-            if on == 0:
-                overhead += POLARITY_SURCHARGE
-    return core, overhead
+    # a control on |0> is stored complemented, so negative
+    on_zero = sum(1 for c in firsts + seconds if c is not None and c < 0)
+    return core, overhead + POLARITY_SURCHARGE * on_zero
 
 
 def dump_netlist(netlist: Netlist) -> str:
@@ -309,11 +350,15 @@ def dump_netlist(netlist: Netlist) -> str:
 
 
 class NetlistBuilder:
-    """Incremental netlist construction with named, contiguous registers."""
+    """Incremental netlist construction with named, contiguous registers.
+
+    Gates go straight into the four columns a ``Netlist`` holds.
+    """
 
     def __init__(self) -> None:
         self._labels: list[str] = []
-        self._gates: list[Gate] = []
+        # target, first control, second control, overhead flag
+        self._columns: tuple[list, list, list, list] = ([], [], [], [])
         self._registers: dict[str, tuple[int, ...]] = {}
         self._ancillas: set[str] = set()
         self._overhead_depth = 0
@@ -340,27 +385,35 @@ class NetlistBuilder:
         finally:
             self._overhead_depth -= 1
 
-    # Each method fixes its gate's kind and arity, so only the target and
-    # polarities need checking; a failure goes through Gate for its message.
+    # Each method fixes its gate's kind and arity, so only the wires and
+    # polarities need checking; a failure goes through _refuse for its message.
+
+    def _emit(self, target: int, first: int | None, second: int | None) -> None:
+        targets, firsts, seconds, flags = self._columns
+        targets.append(target)
+        firsts.append(first)
+        seconds.append(second)
+        flags.append(self._overhead_depth > 0)
 
     def x(self, target: int) -> None:
-        self._gates.append(_tuple_new(Gate, (NOT, target, (), self._overhead_depth > 0)))
+        if target < 0:
+            _refuse(NOT, target, ())
+        self._emit(target, None, None)
 
     def cx(self, control: int, target: int, on: int = 1) -> None:
-        controls = ((control, on),)
-        if control == target or on not in (0, 1):
-            Gate(CNOT, target, controls)
-        self._gates.append(_tuple_new(Gate, (CNOT, target, controls, self._overhead_depth > 0)))
+        if control == target or on not in (0, 1) or control < 0 or target < 0:
+            _refuse(CNOT, target, ((control, on),))
+        self._emit(target, control if on else ~control, None)
 
     def ccx(self, c1: int, c2: int, target: int, on1: int = 1, on2: int = 1) -> None:
-        controls = ((c1, on1), (c2, on2))
-        if target == c1 or target == c2 or on1 not in (0, 1) or on2 not in (0, 1):
-            Gate(TOFFOLI, target, controls)
-        self._gates.append(_tuple_new(Gate, (TOFFOLI, target, controls, self._overhead_depth > 0)))
+        if (target == c1 or target == c2 or on1 not in (0, 1) or on2 not in (0, 1)
+                or c1 < 0 or c2 < 0 or target < 0):
+            _refuse(TOFFOLI, target, ((c1, on1), (c2, on2)))
+        self._emit(target, c1 if on1 else ~c1, c2 if on2 else ~c2)
 
     def mark(self) -> int:
         """Checkpoint into the gate list, for reverse_tail/append_inverse_of."""
-        return len(self._gates)
+        return len(self._columns[0])
 
     def reverse_tail(self, mark: int) -> None:
         """Reverse the gates emitted since ``mark`` in place.
@@ -368,7 +421,8 @@ class NetlistBuilder:
         Reversing a freshly emitted block turns it into its inverse, which is
         how subtractors are derived from adders.
         """
-        self._gates[mark:] = reversed(self._gates[mark:])
+        for column in self._columns:
+            column[mark:] = reversed(column[mark:])
 
     def append_inverse_of(self, start: int, stop: int) -> None:
         """Append the inverse of gates[start:stop], tagged as overhead.
@@ -376,15 +430,10 @@ class NetlistBuilder:
         Used for uncomputation passes: they restore working registers but are
         not part of any core gate count.
         """
-        self._gates.extend([
-            _tuple_new(Gate, (kind, target, controls, True))
-            for kind, target, controls, _ in reversed(self._gates[start:stop])
-        ])
+        targets, firsts, seconds, flags = self._columns
+        for column in (targets, firsts, seconds):
+            column.extend(reversed(column[start:stop]))
+        flags.extend([True] * (stop - start))
 
     def build(self) -> Netlist:
-        return Netlist(
-            tuple(self._labels),
-            tuple(self._gates),
-            dict(self._registers),
-            frozenset(self._ancillas),
-        )
+        return Netlist._of_columns(self._labels, self._columns, self._registers, self._ancillas)

@@ -94,15 +94,18 @@ def write_pgm(path: str, raster: np.ndarray, binary: bool = True) -> None:
         arr = arr.astype(np.uint8)
     height, width = arr.shape
     if binary:
-        payload = f"P5\n{width} {height}\n255\n".encode() + arr.tobytes()
+        header = f"P5\n{width} {height}\n255\n".encode()
+        body = np.ascontiguousarray(arr)  # written from its own buffer, not copied
     else:
         lines = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
-        payload = f"P2\n{width} {height}\n255\n{lines}\n".encode()
+        header = f"P2\n{width} {height}\n255\n{lines}\n".encode()
+        body = b""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".pgm.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(header)
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

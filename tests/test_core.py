@@ -8,6 +8,7 @@ from qimrot.core import (
     Gate,
     Netlist,
     NetlistBuilder,
+    core_and_overhead_cost,
     cost,
     dump_netlist,
     execute,
@@ -15,7 +16,11 @@ from qimrot.core import (
     invert,
 )
 from qimrot.arithmetic import build_adder, build_ctrl_multi, build_interpolation, build_self_adder
-from qimrot.shear_netlists import build_shear_netlist
+from qimrot.shear_netlists import (
+    build_shear_netlist,
+    build_uniform_half_shear,
+    build_uniform_horizontal_shear,
+)
 
 from basis_states import register_value, run, state
 
@@ -145,6 +150,11 @@ class TestStructuralErrors:
         with pytest.raises(CircuitStructureError):
             Netlist(("w[0]",), (Gate("NOT", 5),), {"w": (0,)})
 
+    @pytest.mark.parametrize("control", [(3, 1), (3, 0), (-1, 1), (-1, 0)])
+    def test_gate_control_outside_table(self, control):
+        with pytest.raises(CircuitStructureError, match="gate control -?[13] outside wire table"):
+            Netlist(("w[0]", "w[1]", "w[2]"), (Gate("CNOT", 0, (control,)),), {"w": (0, 1, 2)})
+
     def test_state_width_mismatch(self):
         nl = single_not_netlist()
         for state in (2, -1):  # a bit beyond the one wire; no two's-complement states
@@ -185,8 +195,15 @@ class TestBuilderChecks:
         lambda nb: nb.cx(0, 1, on=2),
         lambda nb: nb.ccx(0, 1, 2, on1=-1),
         lambda nb: nb.ccx(0, 1, 2, on2=2),
+        # a negative wire would read as a control on |0> in the columns
+        lambda nb: nb.cx(-1, 0),
+        lambda nb: nb.ccx(0, -2, 1),
+        lambda nb: nb.ccx(-3, 0, 1, on1=0),
+        lambda nb: nb.cx(0, -1),
+        lambda nb: nb.x(-1),
     ], ids=["cx-onto-its-control", "ccx-onto-c2", "ccx-onto-c1", "cx-on-2", "ccx-on1-minus-1",
-            "ccx-on2-2"])
+            "ccx-on2-2", "cx-control-minus-1", "ccx-c2-minus-2", "ccx-c1-minus-3-on-0",
+            "cx-target-minus-1", "x-minus-1"])
     def test_bad_gate_is_refused(self, emit):
         nb = NetlistBuilder()
         nb.register("w", 3)
@@ -213,22 +230,63 @@ class TestBuilderChecks:
             )
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_lane_gates_split_controls_by_polarity(n):
-    # every digest-pinned image netlist, against a reference built from controls
+def image_netlist_variants(n):
+    """The eight digest-pinned image netlists of one width."""
     for axis in ("horizontal", "vertical"):
         for sign in (1, -1):
             for order in ("tb", "bt"):
-                netlist = build_shear_netlist(n, axis, sign, order)
-                expected = [
-                    (
-                        tuple(wire for wire, on in gate.controls if on == 1),
-                        tuple(wire for wire, on in gate.controls if on == 0),
-                        gate.target,
-                    )
-                    for gate in netlist.gates
-                ]
-                assert netlist.lane_gates == expected
+                yield build_shear_netlist(n, axis, sign, order)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gate_tuples_round_trip_through_the_columns(n):
+    for netlist in image_netlist_variants(n):
+        rebuilt = Netlist(netlist.labels, netlist.gates, netlist.registers, netlist.ancillas)
+        assert rebuilt == netlist
+        assert rebuilt.gates == netlist.gates
+        assert invert(netlist).gates == tuple(reversed(netlist.gates))
+
+
+def reference_cost(netlist):
+    """(core, overhead) summed over the ``Gate`` tuples, as the module docstring states it."""
+    core = overhead = 0
+    for gate in netlist.gates:
+        base = 6 if gate.kind == "TOFFOLI" else 1
+        if gate.overhead:
+            overhead += base
+        else:
+            core += base
+        overhead += 2 * sum(on == 0 for _, on in gate.controls)
+    return core, overhead
+
+
+AUDIT_BUILDERS = {
+    "self_adder": lambda n, m: build_self_adder(n),
+    "adder": lambda n, m: build_adder(n),
+    "interpolation": lambda n, m: build_interpolation(n),
+    "ctrl_multi": build_ctrl_multi,
+    "top_half_shear": build_uniform_half_shear,
+    "full_horizontal_shear": build_uniform_horizontal_shear,
+}
+
+
+@pytest.mark.parametrize("kind", AUDIT_BUILDERS)
+def test_column_cost_is_the_sum_over_gate_tuples(kind):
+    for n in range(1, 7):
+        for m in range(4, 9):
+            netlist = AUDIT_BUILDERS[kind](n, m)
+            assert core_and_overhead_cost(netlist) == reference_cost(netlist), (n, m)
+
+
+def test_column_cost_counts_every_control_on_zero():
+    nb = NetlistBuilder()
+    nb.register("w", 3)
+    nb.ccx(0, 1, 2, on1=0, on2=0)
+    nb.cx(0, 1, on=0)
+    with nb.overhead():
+        nb.x(2)
+    netlist = nb.build()
+    assert core_and_overhead_cost(netlist) == reference_cost(netlist) == (7, 1 + 3 * 2)
 
 
 def test_dump_format_golden():
@@ -341,7 +399,7 @@ class TestLaneInputErrors:
             execute_lanes(build_adder(2), 4, {"a": np.zeros(3, dtype=np.int64)}, ["b"])
 
 
-def test_lane_gates_are_compiled_once_per_netlist():
+def test_gate_tuples_are_made_once_per_netlist():
     nl = build_adder(2)
-    assert nl.lane_gates is nl.lane_gates
-    assert build_adder(2).lane_gates is not nl.lane_gates  # no cache beyond the netlist
+    assert nl.gates is nl.gates
+    assert build_adder(2).gates is not nl.gates  # no cache beyond the netlist

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qimrot import arithmetic, shear, shear_netlists
+from qimrot import arithmetic, core, shear, shear_netlists
 from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
 from qimrot.core import core_and_overhead_cost, cost, dump_netlist, execute_lanes
@@ -351,6 +352,33 @@ def test_image_netlists_follow_their_closed_forms():
                     assert toffolis == 160 * n + 392
                     assert netlist.num_wires == 12 * n + 53
                     assert core_and_overhead_cost(netlist) == (458 * n + 1052, 662 * n + 1724)
+
+
+def test_a_build_makes_no_tracked_object_per_gate():
+    # 2092 gates: one tracked object per gate would add thousands
+    build = build_shear_netlist.__wrapped__
+    build(4, "horizontal", 1)  # warm up anything made once per process
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        netlist = build(4, "horizontal", 1)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(netlist.columns[0]) == 320 * 4 + 812
+    assert added < 100
+
+
+def test_rotate_and_audit_never_make_gate_tuples(monkeypatch):
+    def refuse(netlist):
+        raise AssertionError("Netlist.gates read")
+
+    monkeypatch.setattr(core.Netlist, "gates", property(refuse))
+    build_shear_netlist.cache_clear()  # build afresh under the patch
+    img = encode(random_raster(16, seed=21))
+    result = rotate(img, RotationSpec(30), backend=NETLIST)
+    assert result.final == rotate(img, RotationSpec(30)).final
+    assert audit_report(range(2, 5), range(4, 9)).ok
 
 
 def test_netlist_dumps_registers_and_audit_csv_are_pinned():
