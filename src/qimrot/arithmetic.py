@@ -91,43 +91,45 @@ def _sum(nb: NetlistBuilder, c: int, a: int, b: int) -> None:
     nb.cx(c, b)
 
 
+def _ripple(
+    nb: NetlistBuilder, a: list[int], b: list[int], carry: list[int], top: int | None,
+) -> None:
+    """b[:k] <- a + b[:k] over k = len(a) bits; the carry out of the top bit
+    goes into wire ``top``, or is dropped when ``top`` is None."""
+    k = len(a)
+    if len(carry) < k:
+        raise ValueError("need one carry wire per a bit")
+    for i in range(k - 1):
+        _carry(nb, carry[i], a[i], b[i], carry[i + 1])
+    if top is not None:
+        _carry(nb, carry[k - 1], a[k - 1], b[k - 1], top)
+        nb.cx(a[k - 1], b[k - 1])
+    _sum(nb, carry[k - 1], a[k - 1], b[k - 1])
+    for i in range(k - 2, -1, -1):
+        _carry_inv(nb, carry[i], a[i], b[i], carry[i + 1])
+        _sum(nb, carry[i], a[i], b[i])
+
+
 def emit_adder(nb: NetlistBuilder, a: list[int], b: list[int], carry: list[int]) -> None:
     """b <- (a + b) mod 2^(n+1) over an n-bit a and an (n+1)-bit b.
 
     ``carry`` supplies n ancilla wires that enter and leave at zero.
     """
-    n = len(a)
-    if len(b) != n + 1:
+    if len(b) != len(a) + 1:
         raise ValueError("b register must be one bit wider than a")
-    if len(carry) < n:
-        raise ValueError("need one carry wire per a bit")
-    for i in range(n):
-        cout = b[n] if i == n - 1 else carry[i + 1]
-        _carry(nb, carry[i], a[i], b[i], cout)
-    nb.cx(a[n - 1], b[n - 1])
-    _sum(nb, carry[n - 1], a[n - 1], b[n - 1])
-    for i in range(n - 2, -1, -1):
-        _carry_inv(nb, carry[i], a[i], b[i], carry[i + 1])
-        _sum(nb, carry[i], a[i], b[i])
+    _ripple(nb, a, b, carry, b[-1])
 
 
 def emit_modular_adder(nb: NetlistBuilder, a: list[int], b: list[int], carry: list[int]) -> None:
     """b <- (a + b) mod 2^k over equal-width registers; no carry-out wire.
 
     The dropped carry makes this the natural update for two's-complement
-    coordinate registers.  Cost 28k - 26.
+    coordinate registers.  Cost 28k - 26: the adder less its top carry block
+    and mid CNOT.
     """
-    k = len(a)
-    if len(b) != k:
+    if len(b) != len(a):
         raise ValueError("modular adder needs equal-width registers")
-    if len(carry) < k:
-        raise ValueError("need one carry wire per bit")
-    for i in range(k - 1):
-        _carry(nb, carry[i], a[i], b[i], carry[i + 1])
-    _sum(nb, carry[k - 1], a[k - 1], b[k - 1])
-    for i in range(k - 2, -1, -1):
-        _carry_inv(nb, carry[i], a[i], b[i], carry[i + 1])
-        _sum(nb, carry[i], a[i], b[i])
+    _ripple(nb, a, b, carry, None)
 
 
 def emit_self_adder(nb: NetlistBuilder, x: list[int], out: list[int]) -> None:

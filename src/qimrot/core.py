@@ -13,16 +13,18 @@ A control that fires on \\|1> is its wire, one that fires on \\|0> is the
 complement ``~wire``, and a missing control is ``None``, so the gate's kind
 is its number of controls.  Building, walking and pricing a netlist make no
 Python object per gate.  ``Netlist.gates`` makes the named tuples ``Gate(kind,
-target, controls, overhead)`` from the columns on first read, for dumps,
-digests and the reference executor.  A ``Gate`` built by hand is checked
+target, controls, overhead)`` from the columns on first read; only the tests
+and the benchmark's tracer read them.  A ``Gate`` built by hand is checked
 when made, each ``NetlistBuilder`` method checks the gate it emits, and a
 ``Netlist`` checks every wire against its table.
 
-Two executors.  ``execute`` takes one basis state, walks the ``Gate``
-tuples and is the reference.  ``execute_lanes`` runs many states at once,
+One executor.  ``execute_lanes`` runs many basis states at once,
 bit-sliced, straight from the columns: wire ``i`` is one int whose bit ``j``
 is that wire in lane ``j``, so the netlist is walked once for every lane.
-Registers go in and come out as int64 columns, one value per lane.
+Registers go in and come out as int64 columns, one value per lane.  The
+single-state reference it is checked against lives in the tests
+(``tests/basis_states.py``): it walks the ``Gate`` tuples and shares no code
+with it.
 
 Cost accounting uses CNOT-equivalents: NOT and CNOT count 1, a Toffoli counts
 6, and each control-on-0 polarity adds 2 (one basis flip before and one
@@ -113,33 +115,11 @@ class Netlist:
 
     def __init__(
         self,
-        labels: tuple[str, ...],
-        gates: tuple[Gate, ...],
-        registers: dict[str, tuple[int, ...]],
-        ancillas: frozenset[str] = frozenset(),
+        labels: Iterable[str],
+        columns: Iterable[Iterable],
+        registers: Mapping[str, tuple[int, ...]],
+        ancillas: Iterable[str] = frozenset(),
     ) -> None:
-        gates = tuple(gates)
-        targets, firsts, seconds, flags = columns = ([], [], [], [])
-        for _, target, controls, plumbing in gates:
-            signed = [None, None]
-            for k, (wire, on) in enumerate(controls):
-                if wire < 0:
-                    raise CircuitStructureError(f"gate control {wire} outside wire table")
-                signed[k] = wire if on else ~wire
-            targets.append(target)
-            firsts.append(signed[0])
-            seconds.append(signed[1])
-            flags.append(plumbing)
-        self._hold(labels, columns, registers, ancillas)
-        self.gates = gates  # fills the cached property: what was passed is what reads back
-
-    @classmethod
-    def _of_columns(cls, labels, columns, registers, ancillas) -> Netlist:
-        netlist = cls.__new__(cls)
-        netlist._hold(labels, columns, registers, ancillas)
-        return netlist
-
-    def _hold(self, labels, columns, registers, ancillas) -> None:
         self.labels = tuple(labels)
         self.columns = tuple(tuple(column) for column in columns)
         self.registers = dict(registers)
@@ -201,20 +181,6 @@ class Netlist:
             gates.append(_tuple_new(Gate, (kind, target, controls, plumbing)))
         return tuple(gates)
 
-    @cached_property
-    def compiled(self) -> list[tuple[int, int, int]]:
-        """Per gate: (mask of on-1 controls, mask of on-0 controls, target flip mask)."""
-        comp = []
-        for _, target, controls, _ in self.gates:
-            m1 = m0 = 0
-            for wire, on in controls:
-                if on:
-                    m1 |= 1 << wire
-                else:
-                    m0 |= 1 << wire
-            comp.append((m1, m0, 1 << target))
-        return comp
-
     def _fitting_wires(self, name: str, *values: int) -> tuple[int, ...]:
         """The register's wires, once every value is known to fit it."""
         ids = self.registers.get(name)
@@ -226,18 +192,6 @@ class Netlist:
                     f"value {value} does not fit register {name!r} of width {len(ids)}"
                 )
         return ids
-
-
-def execute(netlist: Netlist, state: int) -> int:
-    """Apply the gate sequence to a basis state and return the image state."""
-    if not 0 <= state < 1 << netlist.num_wires:
-        raise CircuitStructureError(
-            f"basis state {state} outside a {netlist.num_wires}-wire netlist"
-        )
-    for m1, m0, flip in netlist.compiled:
-        if state & m1 == m1 and not state & m0:
-            state ^= flip
-    return state
 
 
 def execute_lanes(
@@ -253,8 +207,8 @@ def execute_lanes(
     all lanes.  An input is an int64 column with one value per lane, or an
     int that every lane starts from; unnamed registers start at zero.
     Returns each register of ``outputs`` (at most 63 wires wide) as an int64
-    column.  Lane ``i`` ends exactly where ``execute`` takes lane ``i``'s
-    state.
+    column.  Lane ``i`` ends exactly where a gate-by-gate walk of lane
+    ``i``'s state alone takes it.
     """
     everyone = (1 << lanes) - 1
     nbytes = (lanes + 7) // 8
@@ -299,8 +253,8 @@ def execute_lanes(
 
 def invert(netlist: Netlist) -> Netlist:
     """Reverse the gate order.  Every primitive is self-inverse, so the
-    result undoes the original: execute(invert(N), execute(N, s)) == s."""
-    return Netlist._of_columns(
+    result takes every output state of the original back to its input."""
+    return Netlist(
         netlist.labels,
         [column[::-1] for column in netlist.columns],
         netlist.registers,
@@ -332,21 +286,6 @@ def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
     # a control on |0> is stored complemented, so negative
     on_zero = sum(1 for c in firsts + seconds if c is not None and c < 0)
     return core, overhead + POLARITY_SURCHARGE * on_zero
-
-
-def dump_netlist(netlist: Netlist) -> str:
-    """Textual dump, one gate per line: KIND target controls.
-
-    Controls carry a ``!`` prefix when they fire on \\|0>.
-    """
-    labels = netlist.labels
-    lines = []
-    for gate in netlist.gates:
-        parts = [gate.kind, labels[gate.target]]
-        for wire, on in gate.controls:
-            parts.append(("" if on else "!") + labels[wire])
-        lines.append(" ".join(parts))
-    return "\n".join(lines)
 
 
 class NetlistBuilder:
@@ -436,4 +375,4 @@ class NetlistBuilder:
         flags.extend([True] * (stop - start))
 
     def build(self) -> Netlist:
-        return Netlist._of_columns(self._labels, self._columns, self._registers, self._ancillas)
+        return Netlist(self._labels, self._columns, self._registers, self._ancillas)

@@ -21,10 +21,10 @@ from qimrot.arithmetic import (
     build_subtractor,
 )
 from qimrot.audit import measure, predict
-from qimrot.core import execute, invert
+from qimrot.core import invert
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate, oracle_shear
-from qimrot.patterns import checkerboard, gradient, random_raster
+from qimrot.patterns import checkerboard
 from qimrot.pgm import read_pgm, write_pgm
 from qimrot.shear import (
     RotationSpec,
@@ -35,7 +35,8 @@ from qimrot.shear import (
 )
 from qimrot.shear_netlists import NetlistBackend, run_shear_phase
 
-from basis_states import run
+from basis_states import execute, run
+from rasters import gradient, random_raster
 
 
 def criterion(cid, title):

@@ -19,8 +19,9 @@ from qimrot.cli import (
     run,
 )
 from qimrot.oracle import oracle_rotate, oracle_shear
-from qimrot.patterns import gradient, random_raster
 from qimrot.pgm import read_pgm, write_pgm
+
+from rasters import gradient, random_raster
 
 
 def invoke(argv):
@@ -113,8 +114,8 @@ def test_shear_factor_and_ascii_output(tmp_path, image_file):
     out = str(tmp_path / "sheared.pgm")
     assert invoke(["shear", "--input", image_file, "--output", out,
                    "--axis", "horizontal", "--factor", "0.5", "--ascii"]) == EXIT_OK
-    data = open(out, "rb").read(2)
-    assert data == b"P2"
+    with open(out, "rb") as handle:
+        assert handle.read(2) == b"P2"
     assert np.array_equal(read_pgm(out), oracle_shear(read_pgm(image_file), "horizontal", 0.5))
 
 
@@ -171,7 +172,8 @@ def test_audit_writes_csv_and_passes(tmp_path, capsys):
     report = str(tmp_path / "audit.csv")
     assert invoke(["audit", "--n-min", "2", "--n-max", "3",
                    "--m-min", "4", "--m-max", "5", "--report", report]) == EXIT_OK
-    lines = open(report).read().strip().splitlines()
+    with open(report) as handle:
+        lines = handle.read().strip().splitlines()
     assert lines[0] == "kind,n,m,predicted,measured_core,overhead,delta"
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
     out = capsys.readouterr().out

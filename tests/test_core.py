@@ -10,8 +10,6 @@ from qimrot.core import (
     NetlistBuilder,
     core_and_overhead_cost,
     cost,
-    dump_netlist,
-    execute,
     execute_lanes,
     invert,
 )
@@ -22,7 +20,7 @@ from qimrot.shear_netlists import (
     build_uniform_horizontal_shear,
 )
 
-from basis_states import register_value, run, state
+from basis_states import dump_netlist, execute, netlist_of_gates, register_value, run, state
 
 
 def single_not_netlist():
@@ -148,12 +146,13 @@ def test_round_trip_property(data):
 class TestStructuralErrors:
     def test_gate_wire_outside_table(self):
         with pytest.raises(CircuitStructureError):
-            Netlist(("w[0]",), (Gate("NOT", 5),), {"w": (0,)})
+            netlist_of_gates(("w[0]",), (Gate("NOT", 5),), {"w": (0,)})
 
     @pytest.mark.parametrize("control", [(3, 1), (3, 0), (-1, 1), (-1, 0)])
     def test_gate_control_outside_table(self, control):
         with pytest.raises(CircuitStructureError, match="gate control -?[13] outside wire table"):
-            Netlist(("w[0]", "w[1]", "w[2]"), (Gate("CNOT", 0, (control,)),), {"w": (0, 1, 2)})
+            netlist_of_gates(("w[0]", "w[1]", "w[2]"), (Gate("CNOT", 0, (control,)),),
+                             {"w": (0, 1, 2)})
 
     def test_state_width_mismatch(self):
         nl = single_not_netlist()
@@ -241,7 +240,8 @@ def image_netlist_variants(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gate_tuples_round_trip_through_the_columns(n):
     for netlist in image_netlist_variants(n):
-        rebuilt = Netlist(netlist.labels, netlist.gates, netlist.registers, netlist.ancillas)
+        rebuilt = netlist_of_gates(netlist.labels, netlist.gates, netlist.registers,
+                                   netlist.ancillas)
         assert rebuilt == netlist
         assert rebuilt.gates == netlist.gates
         assert invert(netlist).gates == tuple(reversed(netlist.gates))

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode
-from qimrot.patterns import random_raster
 from qimrot.pgm import read_pgm, write_pgm
+
+from rasters import random_raster
 
 
 def make_terms(y, x, color):

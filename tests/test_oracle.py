@@ -12,8 +12,10 @@ from qimrot.oracle import (
     oracle_shear,
     rotation_coordinate_map,
 )
-from qimrot.patterns import centered_dot, checkerboard, gradient, random_raster, row_bands
+from qimrot.patterns import checkerboard
 from qimrot.shear import RotationSpec, ShearSpec, UnsupportedAngleError, apply_shear, rotate
+
+from rasters import centered_dot, gradient, random_raster, row_bands
 
 
 class TestOracleShear:

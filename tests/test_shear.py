@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from qimrot.arithmetic import FixedPointValue
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import oracle_shear, rotation_coordinate_map
-from qimrot.patterns import random_raster, row_bands
 from qimrot.shear import (
     HORIZONTAL,
     SEMANTIC,
@@ -26,6 +25,8 @@ from qimrot.shear import (
     rotate,
 )
 from qimrot.shear_netlists import NetlistBackend
+
+from rasters import random_raster, row_bands
 
 
 def hspec(q16, n, sign=1):

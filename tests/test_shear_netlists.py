@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from qimrot import arithmetic, core, shear, shear_netlists
 from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
-from qimrot.core import core_and_overhead_cost, cost, dump_netlist, execute_lanes
+from qimrot.core import core_and_overhead_cost, cost, execute_lanes
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import oracle_rotate, oracle_shear
-from qimrot.patterns import random_raster
 from qimrot.shear import (
     SEMANTIC,
     RotationSpec,
@@ -35,7 +34,8 @@ from qimrot.shear_netlists import (
     run_shear_phase,
 )
 
-from basis_states import run
+from basis_states import dump_netlist, run
+from rasters import random_raster
 
 NETLIST = NetlistBackend()
 
