@@ -12,10 +12,10 @@ target wire, the first control, the second control and the overhead flag.
 A control that fires on \\|1> is its wire, one that fires on \\|0> is the
 complement ``~wire``, and a missing control is ``None``, so the gate's kind
 is its number of controls.  Building, walking and pricing a netlist make no
-Python object per gate.  ``Netlist.gates`` makes the named tuples ``Gate(kind,
-target, controls, overhead)`` from the columns on first read; only the tests
-and the benchmark's tracer read them.  A ``Gate`` built by hand is checked
-when made, each ``NetlistBuilder`` method checks the gate it emits, and a
+Python object per gate.  ``Netlist.gates`` makes plain named tuples
+``Gate(kind, target, controls, overhead)`` from the columns on first read;
+only the tests and the benchmark's tracer read them.  Gates are checked where
+they are made: each ``NetlistBuilder`` method checks the gate it emits, and a
 ``Netlist`` checks every wire against its table.
 
 One executor.  ``execute_lanes`` runs many basis states at once,
@@ -44,8 +44,8 @@ NOT = "NOT"
 CNOT = "CNOT"
 TOFFOLI = "TOFFOLI"
 
-_ARITY = {NOT: 0, CNOT: 1, TOFFOLI: 2}
-_BASE_COST = {NOT: 1, CNOT: 1, TOFFOLI: 6}
+#: CNOT-equivalents of a gate by its number of controls: NOT, CNOT, Toffoli
+_BASE_COST = (1, 1, 6)
 POLARITY_SURCHARGE = 2
 
 
@@ -53,41 +53,10 @@ class CircuitStructureError(ValueError):
     """A netlist, gate, or basis state is structurally malformed."""
 
 
-#: Builds a Gate from its four fields without re-running the checks.
-_tuple_new = tuple.__new__
-
-
-class Gate(namedtuple("Gate", "kind target controls overhead")):
-    """One reversible primitive.
-
-    ``controls`` holds ``(wire_id, polarity)`` pairs; polarity 1 fires on
-    \\|1>, polarity 0 on \\|0>.  ``overhead`` marks plumbing (dispatch
-    controls, masking, uncomputation) excluded from core cost accounting.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, kind: str, target: int, controls: tuple[tuple[int, int], ...] = (),
-        overhead: bool = False,
-    ) -> Gate:
-        if kind not in _ARITY:
-            raise CircuitStructureError(f"unknown gate kind {kind!r}")
-        if len(controls) != _ARITY[kind]:
-            raise CircuitStructureError(
-                f"{kind} takes {_ARITY[kind]} controls, got {len(controls)}"
-            )
-        for wire, polarity in controls:
-            if polarity not in (0, 1):
-                raise CircuitStructureError(f"bad control polarity {polarity!r}")
-            if wire == target:
-                raise CircuitStructureError(f"wire {wire} is both control and target")
-        return _tuple_new(cls, (kind, target, controls, overhead))
-
-    @classmethod
-    def _make(cls, iterable) -> Gate:
-        # ``_replace`` builds through here: keep it checked
-        return cls(*iterable)
+#: One reversible primitive, as ``Netlist.gates`` reads it off the columns.
+#: ``controls`` holds ``(wire, polarity)`` pairs, polarity 1 firing on |1> and 0
+#: on |0>; ``overhead`` marks plumbing that core cost accounting leaves out.
+Gate = namedtuple("Gate", "kind target controls overhead", defaults=((), False))
 
 
 def _control(signed: int) -> tuple[int, int]:
@@ -95,10 +64,14 @@ def _control(signed: int) -> tuple[int, int]:
     return (signed, 1) if signed >= 0 else (~signed, 0)
 
 
-def _refuse(kind: str, target: int, controls: tuple[tuple[int, int], ...]) -> None:
+def _refuse(target: int, controls: tuple[tuple[int, int], ...]) -> None:
     """Raise for a gate that a builder method's quick check turned down."""
-    Gate(kind, target, controls)  # raises for every fault but a negative wire
-    # refused here, since a column would read it as a complemented control
+    for wire, polarity in controls:
+        if polarity not in (0, 1):
+            raise CircuitStructureError(f"bad control polarity {polarity!r}")
+        if wire == target:
+            raise CircuitStructureError(f"wire {wire} is both control and target")
+    # a column would read a negative wire as a complemented control
     wire = min((target, *(wire for wire, _ in controls)))
     raise CircuitStructureError(f"wire {wire} is negative")
 
@@ -178,7 +151,7 @@ class Netlist:
                 kind, controls = CNOT, (_control(first),)
             else:
                 kind, controls = TOFFOLI, (_control(first), _control(second))
-            gates.append(_tuple_new(Gate, (kind, target, controls, plumbing)))
+            gates.append(Gate(kind, target, controls, plumbing))
         return tuple(gates)
 
     def _fitting_wires(self, name: str, *values: int) -> tuple[int, ...]:
@@ -274,15 +247,15 @@ def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
     overhead-tagged gates plus every polarity surcharge, i.e. all the control
     and uncomputation plumbing the closed-form core counts exclude.
     """
-    core = 0
-    overhead = 0
+    core = overhead = 0
     _, firsts, seconds, flags = netlist.columns
-    for first, second, plumbing in zip(firsts, seconds, flags):
-        kind = NOT if first is None else CNOT if second is None else TOFFOLI
+    for second, plumbing in zip(seconds, flags):
+        # NOT and CNOT cost the same, so the second control alone sets the price
+        price = _BASE_COST[1 if second is None else 2]
         if plumbing:
-            overhead += _BASE_COST[kind]
+            overhead += price
         else:
-            core += _BASE_COST[kind]
+            core += price
     # a control on |0> is stored complemented, so negative
     on_zero = sum(1 for c in firsts + seconds if c is not None and c < 0)
     return core, overhead + POLARITY_SURCHARGE * on_zero
@@ -336,18 +309,18 @@ class NetlistBuilder:
 
     def x(self, target: int) -> None:
         if target < 0:
-            _refuse(NOT, target, ())
+            _refuse(target, ())
         self._emit(target, None, None)
 
     def cx(self, control: int, target: int, on: int = 1) -> None:
         if control == target or on not in (0, 1) or control < 0 or target < 0:
-            _refuse(CNOT, target, ((control, on),))
+            _refuse(target, ((control, on),))
         self._emit(target, control if on else ~control, None)
 
     def ccx(self, c1: int, c2: int, target: int, on1: int = 1, on2: int = 1) -> None:
         if (target == c1 or target == c2 or on1 not in (0, 1) or on2 not in (0, 1)
                 or c1 < 0 or c2 < 0 or target < 0):
-            _refuse(TOFFOLI, target, ((c1, on1), (c2, on2)))
+            _refuse(target, ((c1, on1), (c2, on2)))
         self._emit(target, c1 if on1 else ~c1, c2 if on2 else ~c2)
 
     def mark(self) -> int:

@@ -4,9 +4,9 @@
 wire ``i``, and walks ``Netlist.gates`` one gate at a time.  ``state`` and
 ``register_value`` pack register values into such a state and unpack them
 again, bit by bit, so that ``execute_lanes`` can be checked against a path
-that shares none of its packing.  ``dump_netlist`` is the text the netlist
-digests hash, and ``netlist_of_gates`` builds a netlist's columns from
-hand-made gates.
+that shares none of its packing; ``assert_ancillas_clean`` checks ``run``'s
+outputs.  ``dump_netlist`` is the text the netlist digests hash, and
+``netlist_of_gates`` builds a netlist's columns from hand-made gates.
 """
 from qimrot.core import CircuitStructureError, Netlist
 
@@ -69,6 +69,12 @@ def run(netlist: Netlist, **inputs: int) -> dict[str, int]:
     """Execute on register-valued inputs and return all register values."""
     out = execute(netlist, state(netlist, **inputs))
     return {name: register_value(netlist, out, name) for name in netlist.registers}
+
+
+def assert_ancillas_clean(netlist: Netlist, outputs: dict[str, int]) -> None:
+    """Every ancilla register of ``netlist`` left ``run`` at zero."""
+    for name in netlist.ancillas:
+        assert outputs[name] == 0, f"ancilla {name} left at {outputs[name]}"
 
 
 def dump_netlist(netlist: Netlist) -> str:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 All comparisons are bit-exact; gate-count comparisons carry zero tolerance.
 """
 import functools
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +12,6 @@ import numpy as np
 
 from qimrot import cli
 from qimrot.arithmetic import (
-    FixedPointValue,
     build_adder,
     build_ctrl_multi,
     build_interpolation,
@@ -23,20 +21,19 @@ from qimrot.arithmetic import (
 from qimrot.audit import measure, predict
 from qimrot.core import invert
 from qimrot.neqr import Terms, decode, encode
-from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate, oracle_shear
+from qimrot.oracle import agreement_fraction, ideal_rotate, oracle_rotate
 from qimrot.patterns import checkerboard
 from qimrot.pgm import read_pgm, write_pgm
 from qimrot.shear import (
     RotationSpec,
-    ShearSpec,
     apply_shear,
     line_steps,
     rotate,
 )
 from qimrot.shear_netlists import NetlistBackend, run_shear_phase
 
-from basis_states import execute, run
-from rasters import gradient, random_raster
+from basis_states import assert_ancillas_clean, execute, run
+from rasters import gradient, oracle_chain, random_raster, spec_for
 
 
 def criterion(cid, title):
@@ -53,11 +50,6 @@ def criterion(cid, title):
     return decorate
 
 
-def check_clean(netlist, outputs):
-    for name in netlist.ancillas:
-        assert outputs[name] == 0, f"ancilla {name} ended at {outputs[name]}"
-
-
 @criterion(1, "arithmetic exhaustive equivalence")
 def test_criterion_1_arithmetic_equivalence():
     for n in range(1, 5):
@@ -67,24 +59,24 @@ def test_criterion_1_arithmetic_equivalence():
             for b in range(1 << n):
                 out = run(add, a=a, b=b)
                 assert out["b"] == a + b
-                check_clean(add, out)
+                assert_ancillas_clean(add, out)
                 out = run(sub, a=a, b=a + b)
                 assert out["b"] == b
-                check_clean(sub, out)
+                assert_ancillas_clean(sub, out)
         for x in range(1 << n):
             out = run(dbl, x=x)
             assert out["out"] == 2 * x
             for frac in range(16):
                 out = run(interp, a=x, frac=frac)
                 assert out["a"] == x + (frac >> 3)
-                check_clean(interp, out)
+                assert_ancillas_clean(interp, out)
         multi = build_ctrl_multi(n, n)
         for a in range(1 << n):
             for x in range(1 << n):
                 for ctrl in (0, 1):
                     out = run(multi, a=a, x=x, ctrl=ctrl)
                     assert out["p"] == a * x * ctrl
-                    check_clean(multi, out)
+                    assert_ancillas_clean(multi, out)
 
     rng = random.Random(20240801)
     for n in (5, 6, 7, 8):
@@ -96,17 +88,17 @@ def test_criterion_1_arithmetic_equivalence():
             frac, ctrl = rng.randrange(16), rng.randrange(2)
             out = run(add, a=a, b=b)
             assert out["b"] == a + b
-            check_clean(add, out)
+            assert_ancillas_clean(add, out)
             out = run(sub, a=a, b=a + b)
             assert out["b"] == b
-            check_clean(sub, out)
+            assert_ancillas_clean(sub, out)
             assert run(dbl, x=a)["out"] == 2 * a
             out = run(interp, a=a, frac=frac)
             assert out["a"] == a + (frac >> 3)
-            check_clean(interp, out)
+            assert_ancillas_clean(interp, out)
             out = run(multi, a=a, x=b, ctrl=ctrl)
             assert out["p"] == a * b * ctrl
-            check_clean(multi, out)
+            assert_ancillas_clean(multi, out)
 
 
 @criterion(2, "worked examples reproduced bit-exactly")
@@ -114,7 +106,7 @@ def test_criterion_2_worked_examples():
     assert run(build_self_adder(3), x=0b110)["out"] == 0b1100
     assert run(build_ctrl_multi(4, 5), a=0b10101, x=0b1011, ctrl=1)["p"] == 0b11100111
     assert run(build_interpolation(4), a=0b1010, frac=0b1010)["a"] == 0b1011
-    spec = ShearSpec("horizontal", FixedPointValue(16), 1, 2)
+    spec = spec_for("horizontal", 16, 1, 2)
     assert np.abs(line_steps(np.arange(4), spec)).tolist() == [2, 1, 0, 1]
 
 
@@ -184,7 +176,7 @@ def test_criterion_5_properties():
         q16 = rng.randrange(17)
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
-        spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
+        spec = spec_for(axis, q16, sign, n)
         terms = encode(np.zeros((side, side), dtype=np.uint8)).terms()
         horizontal = axis == "horizontal"
         driver, moved = (terms.y, terms.x) if horizontal else (terms.x, terms.y)
@@ -201,7 +193,7 @@ def test_criterion_5_properties():
         q16 = rng.randrange(17)
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
-        spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
+        spec = spec_for(axis, q16, sign, n)
         rows = [
             (rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(256)) for _ in range(8)
         ]
@@ -235,7 +227,7 @@ def test_criterion_6_no_blocking_or_blurring():
         q16 = rng.randrange(17)
         sign = rng.choice([1, -1])
         axis = rng.choice(["horizontal", "vertical"])
-        spec = ShearSpec(axis, FixedPointValue(q16), sign, n)
+        spec = spec_for(axis, q16, sign, n)
         out = decode(apply_shear(encode(raster), spec))
         for line, shift in enumerate(line_steps(np.arange(side), spec)):
             if axis == "horizontal":
@@ -264,10 +256,7 @@ def test_criterion_7_rotation_demo(tmp_path):
         argv = ["rotate", "--input", source, "--output", out, "--angle", str(theta),
                 "--emit-intermediates"]
         assert cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))) == cli.EXIT_OK
-        tan_half, sin_full = math.tan(math.radians(theta) / 2), math.sin(math.radians(theta))
-        phase1 = oracle_shear(raster, "horizontal", tan_half)
-        phase2 = oracle_shear(phase1, "vertical", sin_full)
-        final = oracle_shear(phase2, "horizontal", tan_half)
+        phase1, phase2, final = oracle_chain(raster, theta)
         assert np.array_equal(read_pgm(str(tmp_path / f"rot{theta}.phase1.pgm")), phase1), theta
         assert np.array_equal(read_pgm(str(tmp_path / f"rot{theta}.phase2.pgm")), phase2), theta
         written = read_pgm(out)
@@ -282,9 +271,7 @@ def test_criterion_8_rotation_at_paper_scale():
     for theta in (30, 45, 60):
         result = rotate(image, RotationSpec(theta))
         gates = rotate(image, RotationSpec(theta), backend=NetlistBackend())
-        tan_half, sin_full = math.tan(math.radians(theta) / 2), math.sin(math.radians(theta))
-        phase1 = oracle_shear(raster, "horizontal", tan_half)
-        phase2 = oracle_shear(phase1, "vertical", sin_full)
+        phase1, phase2, _ = oracle_chain(raster, theta)
         assert np.array_equal(decode(result.phase1), phase1), theta
         assert np.array_equal(decode(result.phase2), phase2), theta
         assert np.array_equal(decode(result.final), oracle_rotate(raster, theta)), theta

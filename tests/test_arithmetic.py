@@ -14,12 +14,7 @@ from qimrot.arithmetic import (
 )
 from qimrot.core import cost
 
-from basis_states import run
-
-
-def assert_ancillas_clean(netlist, outputs):
-    for name in netlist.ancillas:
-        assert outputs[name] == 0, f"ancilla {name} left at {outputs[name]}"
+from basis_states import assert_ancillas_clean, run
 
 
 class TestAdder:

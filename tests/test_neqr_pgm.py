@@ -7,16 +7,12 @@ from hypothesis.extra.numpy import arrays
 from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode
 from qimrot.pgm import read_pgm, write_pgm
 
-from rasters import random_raster
+from rasters import columns, random_raster
 
 
 def make_terms(y, x, color):
     return Terms(np.array(y, dtype=np.int64), np.array(x, dtype=np.int64),
                  np.array(color, dtype=np.uint8))
-
-
-def columns(terms):
-    return terms.y.tolist(), terms.x.tolist(), terms.color.tolist()
 
 
 class TestCodec:

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qimrot.arithmetic import FixedPointValue
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import oracle_shear, rotation_coordinate_map
 from qimrot.shear import (
@@ -26,15 +24,7 @@ from qimrot.shear import (
 )
 from qimrot.shear_netlists import NetlistBackend
 
-from rasters import random_raster, row_bands
-
-
-def hspec(q16, n, sign=1):
-    return ShearSpec("horizontal", FixedPointValue(q16), sign, n)
-
-
-def vspec(q16, n, sign=1):
-    return ShearSpec("vertical", FixedPointValue(q16), sign, n)
+from rasters import framed_raster, oracle_chain, random_raster, row_bands, spec_for
 
 
 def assert_rotation_round_trip(raster, theta, backend):
@@ -67,10 +57,10 @@ def reference_shear(terms, spec):
 
 class TestHalfShears:
     def test_4x4_factor_one_row_displacements(self):
-        assert line_steps(np.arange(4), hspec(16, 2)).tolist() == [-2, -1, 0, 1]
+        assert line_steps(np.arange(4), spec_for(HORIZONTAL, 16, 1, 2)).tolist() == [-2, -1, 0, 1]
 
     def test_zero_factor_leaves_x(self):
-        assert line_steps(np.arange(8), hspec(0, 3)).tolist() == [0] * 8
+        assert line_steps(np.arange(8), spec_for(HORIZONTAL, 0, 1, 3)).tolist() == [0] * 8
 
     def test_8x8_30_degree_top_row(self):
         # q = round(tan 15deg * 16)/16 = 4/16; offset 4 gives round(4 * 4/16) = 1
@@ -79,11 +69,11 @@ class TestHalfShears:
         assert line_steps(np.array([0]), spec).tolist() == [-1]
 
     def test_bottom_reference_row_fixed(self):
-        assert line_steps(np.array([4]), hspec(16, 3)).tolist() == [0]
+        assert line_steps(np.array([4]), spec_for(HORIZONTAL, 16, 1, 3)).tolist() == [0]
 
     def test_8x8_factor_one_bottom_rows_shift_rigidly(self):
         # at q = 1 every bottom row y moves right by exactly y - 4
-        assert line_steps(np.arange(4, 8), hspec(16, 3)).tolist() == [0, 1, 2, 3]
+        assert line_steps(np.arange(4, 8), spec_for(HORIZONTAL, 16, 1, 3)).tolist() == [0, 1, 2, 3]
 
     def test_8x8_vertical_30_degree_left_column(self):
         # q = round(sin 30deg * 16)/16 = 8/16; offset 4 gives round(4 * 0.5) = 2
@@ -92,30 +82,30 @@ class TestHalfShears:
         assert line_steps(np.array([0]), spec).tolist() == [2]
 
     def test_4x4_vertical_factor_one_column_displacements(self):
-        assert line_steps(np.arange(4), vspec(16, 2)).tolist() == [2, 1, 0, -1]
+        assert line_steps(np.arange(4), spec_for(VERTICAL, 16, 1, 2)).tolist() == [2, 1, 0, -1]
 
     def test_reference_column_fixed(self):
-        assert line_steps(np.array([2]), vspec(16, 2)).tolist() == [0]
+        assert line_steps(np.array([2]), spec_for(VERTICAL, 16, 1, 2)).tolist() == [0]
 
     def test_negative_sign_flips_directions(self):
-        assert line_steps(np.array([0]), hspec(16, 2, sign=1)).tolist() == [-2]
-        assert line_steps(np.array([0]), hspec(16, 2, sign=-1)).tolist() == [2]
+        assert line_steps(np.array([0]), spec_for(HORIZONTAL, 16, 1, 2)).tolist() == [-2]
+        assert line_steps(np.array([0]), spec_for(HORIZONTAL, 16, -1, 2)).tolist() == [2]
 
     def test_displacement_rounds_half_up(self):
         # one-line arrays on the 8x8 frame: line 5 is offset 1, line 7 offset 3
-        assert line_steps(np.array([5]), hspec(8, 3)).tolist() == [1]  # 0.5 -> 1
-        assert line_steps(np.array([5]), hspec(7, 3)).tolist() == [0]  # 0.4375 -> 0
-        assert line_steps(np.array([7]), hspec(4, 3)).tolist() == [1]  # 0.75 -> 1
+        assert line_steps(np.array([5]), spec_for(HORIZONTAL, 8, 1, 3)).tolist() == [1]  # 0.5 -> 1
+        assert line_steps(np.array([5]), spec_for(HORIZONTAL, 7, 1, 3)).tolist() == [0]  # 0.4375 -> 0
+        assert line_steps(np.array([7]), spec_for(HORIZONTAL, 4, 1, 3)).tolist() == [1]  # 0.75 -> 1
 
 
 class TestApplyShear:
     def test_zero_factor_is_identity(self):
         img = encode(random_raster(8, seed=0))
-        assert apply_shear(img, hspec(0, 3)) == img
+        assert apply_shear(img, spec_for(HORIZONTAL, 0, 1, 3)) == img
 
     def test_4x4_row_banded_paper_layout(self):
         img = encode(row_bands(4))
-        out = decode(apply_shear(img, hspec(16, 2)))
+        out = decode(apply_shear(img, spec_for(HORIZONTAL, 16, 1, 2)))
         src = row_bands(4)
         expected = np.zeros_like(src)
         expected[0, 0:2] = src[0, 2:4]   # row 0 moves left 2
@@ -134,7 +124,7 @@ class TestApplyShear:
         """Every row moves as one block: the per-row map is x -> x + d(y)."""
         exponent, offset = expanded_canvas_params(4)  # a frame no term leaves
         terms = encode(raster).terms(offset)
-        out = SEMANTIC.shear(terms, hspec(q16, exponent, sign))
+        out = SEMANTIC.shear(terms, spec_for(HORIZONTAL, q16, sign, exponent))
         assert np.array_equal(out.y, terms.y) and np.array_equal(out.color, terms.color)
         shifts = (out.x - terms.x).reshape(16, 16)
         assert (shifts == shifts[:, :1]).all()
@@ -147,7 +137,7 @@ class TestApplyShear:
     )
     def test_injective_before_clipping(self, q16, sign, axis_vertical):
         n = 3
-        spec = vspec(q16, n, sign) if axis_vertical else hspec(q16, n, sign)
+        spec = spec_for(VERTICAL if axis_vertical else HORIZONTAL, q16, sign, n)
         terms = encode(np.zeros((8, 8), dtype=np.uint8)).terms()
         driver, moved = (terms.x, terms.y) if axis_vertical else (terms.y, terms.x)
         landed = moved + line_steps(driver, spec)  # unclipped
@@ -155,7 +145,7 @@ class TestApplyShear:
 
     def test_half_antisymmetry_of_displacements(self):
         n, side = 4, 16
-        spec = hspec(11, n)
+        spec = spec_for(HORIZONTAL, 11, 1, n)
         mid = 1 << (n - 1)
         steps = line_steps(np.arange(side), spec)
         for y in range(mid):
@@ -177,7 +167,7 @@ class TestApplyShear:
         """Gray values never mix across rows; each row keeps its multiset."""
         side = 16
         img = encode(raster)
-        spec = hspec(q16, 4, sign)
+        spec = spec_for(HORIZONTAL, q16, sign, 4)
         out = decode(apply_shear(img, spec))
         for y, d in enumerate(line_steps(np.arange(side), spec)):
             kept = [raster[y, x] for x in range(side) if 0 <= x + d < side]
@@ -244,7 +234,7 @@ class TestSemanticBackend:
 
     def test_narrow_input_columns_come_out_int64(self):
         y, x = np.array([1, 2, 3], dtype=np.int32), np.array([0, 3, 1], dtype=np.int16)
-        out = SEMANTIC.shear(Terms(y, x, np.ones(3, dtype=np.uint8)), vspec(8, 2))
+        out = SEMANTIC.shear(Terms(y, x, np.ones(3, dtype=np.uint8)), spec_for(VERTICAL, 8, 1, 2))
         assert out.y.dtype == out.x.dtype == np.int64
 
     def test_dtypes_survive_clip(self):
@@ -387,26 +377,6 @@ def count_shears(monkeypatch, backend_class):
 
     monkeypatch.setattr(backend_class, "shear", counted)
     return sizes
-
-
-def framed_raster(raster, canvas):
-    """The raster on the frame the canvas runs on, zero-padded at its offset."""
-    side = raster.shape[0]
-    if canvas == "clip":
-        return raster
-    exponent, offset = expanded_canvas_params(side.bit_length() - 1)
-    padded = np.zeros((1 << exponent, 1 << exponent), dtype=np.uint8)
-    padded[offset : offset + side, offset : offset + side] = raster
-    return padded
-
-
-def oracle_chain(framed, theta):
-    """phase1, phase2, final: the oracle's three shears of a rotation, on a
-    raster already on the canvas's frame."""
-    tan_half, sin_full = math.tan(math.radians(theta) / 2), math.sin(math.radians(theta))
-    phase1 = oracle_shear(framed, HORIZONTAL, tan_half)
-    phase2 = oracle_shear(phase1, VERTICAL, sin_full)
-    return phase1, phase2, oracle_shear(phase2, HORIZONTAL, tan_half)
 
 
 class TestRowBlocks:

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qimrot import arithmetic, core, shear, shear_netlists
-from qimrot.arithmetic import FixedPointValue
 from qimrot.audit import audit_report
 from qimrot.core import core_and_overhead_cost, cost, execute_lanes
 from qimrot.neqr import Terms, decode, encode
@@ -19,7 +17,6 @@ from qimrot.shear import (
     RotationSpec,
     ShearSpec,
     apply_shear,
-    expanded_canvas_params,
     line_steps,
     rotate,
 )
@@ -35,17 +32,9 @@ from qimrot.shear_netlists import (
 )
 
 from basis_states import dump_netlist, run
-from rasters import random_raster
+from rasters import columns, framed_raster, oracle_chain, random_raster, spec_for
 
 NETLIST = NetlistBackend()
-
-
-def spec_for(axis, q16, sign, n):
-    return ShearSpec(axis, FixedPointValue(q16), sign, n)
-
-
-def columns(terms):
-    return terms.y.tolist(), terms.x.tolist(), terms.color.tolist()
 
 
 def frame_terms(n):
@@ -233,22 +222,10 @@ def test_unknown_canvas_is_refused_before_any_term_is_sheared(monkeypatch, backe
         apply_shear(img, ShearSpec.from_factor("vertical", 0.5, img.n), "wrap", backend)
 
 
-def _oracle_expand_frames(raster, theta):
-    """phase1, phase2, final: the oracle's shear chain on the raster
-    zero-padded to the expanded canvas at its offset."""
-    side = raster.shape[0]
-    exponent, offset = expanded_canvas_params(side.bit_length() - 1)
-    padded = np.zeros((1 << exponent, 1 << exponent), dtype=np.uint8)
-    padded[offset : offset + side, offset : offset + side] = raster
-    rad = math.radians(theta)
-    phase1 = oracle_shear(padded, "horizontal", math.tan(rad / 2))
-    phase2 = oracle_shear(phase1, "vertical", math.sin(rad))
-    return phase1, phase2, oracle_shear(phase2, "horizontal", math.tan(rad / 2))
-
-
 def _assert_expand_frames(raster, theta, backend):
     res = rotate(encode(raster), RotationSpec(theta), "expand", backend)
-    for got, want in zip((res.phase1, res.phase2, res.final), _oracle_expand_frames(raster, theta)):
+    oracle = oracle_chain(framed_raster(raster, "expand"), theta)
+    for got, want in zip((res.phase1, res.phase2, res.final), oracle):
         assert np.array_equal(decode(got), want)
 
 
