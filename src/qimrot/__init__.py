@@ -2,8 +2,8 @@
 
 The package builds every arithmetic step as an explicit NOT/CNOT/Toffoli
 netlist, executes it on computational-basis states, verifies the gate path
-against a term-level semantic engine and an independent classical oracle,
-and audits measured gate counts against exact closed forms.
+against a line-shifting semantic engine and an independent classical
+oracle, and audits measured gate counts against exact closed forms.
 """
 # the five names perfbench/ reads from the package; import everything else from its module
 from .oracle import oracle_rotate, oracle_shear, rotation_coordinate_map

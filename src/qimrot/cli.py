@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="clip to the original frame (default) or keep displaced "
                             "pixels on a 4x wider frame")
         p.add_argument("--mode", choices=["semantic", "netlist"], default="semantic",
-                       help="semantic term arithmetic (default) or full gate execution")
+                       help="semantic line shifts on the raster (default) or full gate execution")
         p.add_argument("--order", **order)
         p.add_argument("--ascii", dest="ascii_output", action="store_true",
                        help="write P2 (ASCII) instead of P5")

@@ -81,14 +81,17 @@ class NEQRImage:
     def side(self) -> int:
         return 1 << self.n
 
-    def terms(self, offset: int = 0, rows: slice = slice(None)) -> Terms:
-        """The basis terms of the image rows ``rows`` (all 4^n by default) in
-        row-major order, placed ``offset`` rows and columns into a larger
-        frame."""
+    @property
+    def pixels(self) -> np.ndarray:
+        """The held raster itself, read-only: a view for reading, not a copy."""
+        return self._raster
+
+    def terms(self, offset: int = 0) -> Terms:
+        """All 4^n basis terms in row-major order, placed ``offset`` rows and
+        columns into a larger frame."""
         coords = np.arange(offset, offset + self.side, dtype=np.int64)
-        block = self._raster[rows]
-        y, x = np.repeat(coords[rows], self.side), np.tile(coords, len(block))
-        return Terms(y, x, block.ravel())
+        y, x = np.repeat(coords, self.side), np.tile(coords, self.side)
+        return Terms(y, x, self._raster.ravel())
 
     def raster(self) -> np.ndarray:
         return self._raster.copy()
@@ -105,8 +108,8 @@ class NEQRImage:
 
     @classmethod
     def adopt(cls, n: int, canvas: np.ndarray) -> "NEQRImage":
-        """The image of ``canvas``, a flat row-major 4^n uint8 raster the
-        caller gives up: valid by construction, so held read-only, not copied."""
+        """The image of ``canvas``, a flat or square row-major 4^n uint8 raster
+        the caller gives up: valid by construction, so held read-only, not copied."""
         image = cls.__new__(cls)
         image._hold(canvas.reshape(1 << n, 1 << n))
         return image
@@ -127,8 +130,7 @@ def paint(canvas: np.ndarray, n: int, terms: Terms) -> None:
     flat row-major 4^n uint8 raster; the terms outside are dropped.
 
     In-frame terms must hit distinct positions, as the terms of one image
-    do under any shear, so painting blocks of terms in any order gives the
-    raster painting them all at once would.
+    do under any shear.
     """
     kept = terms.clip(n)
     flat = kept.y << n

@@ -3,7 +3,7 @@
 Everything here works on plain numpy rasters with per-row (or per-column)
 constant shifts, written directly against the shear equations: no gates, no
 registers, no shared machinery with the engine.  Agreement between this
-module and the term-level engine is therefore meaningful evidence rather
+module and the semantic engine is therefore meaningful evidence rather
 than a shared-code tautology.
 
 Fixed-point conventions are the engine's defaults: factor magnitudes rounded

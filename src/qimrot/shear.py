@@ -26,33 +26,31 @@ frame with the image centred, its origin 3 * 2^(n-1) inside.  Both frames
 share the median, so the shears are the same; on the wide frame no rotation
 term comes closer than 2^(n-1) to the edge, so nothing is clipped.
 
-``rotate`` and ``apply_shear`` call one phase runner, the one pipeline; it
-carries the terms as numpy columns (``neqr.Terms``).  Each shear phase runs
-on a pluggable backend, which drops the terms leaving the frame:
-``SEMANTIC`` (the default) or the gate-level ``shear_netlists.NetlistBackend``.
-Every shear maps each term on its own, so the runner streams the image's
-rows through all the phases in blocks of at most the backend's
-``BLOCK_TERMS`` terms and paints each phase's blocks onto that phase's
-snapshot (``neqr.paint``).  ``SEMANTIC`` takes 2^13 terms a block, so its
-temporaries stay small enough for the heap to recycle; the netlist backend
-takes every image it accepts in one block, one netlist walk per phase.
-``line_steps`` states the four equations once, on an array of frame lines;
-it is the one displacement rule, with no per-term twin.  ``SEMANTIC`` shifts
-every term by its line's step in one gather and masks only the moved column,
-since the driver column does not change.  A backend refuses the requests it
-cannot run before any term is sheared.
+``rotate`` and ``apply_shear`` call one phase runner, the one pipeline: it
+picks the frame, has the backend vet every phase before any runs, and keeps
+each frame the backend yields as that phase's snapshot.  The backends are
+pluggable: ``SEMANTIC`` (the default) or the gate-level
+``shear_netlists.NetlistBackend``, which moves every term as one lane of its
+netlist and paints the kept terms (``neqr.paint``).  ``line_steps`` states
+the four equations once, on an array of frame lines; it is the one
+displacement rule, with no per-term twin.  ``SEMANTIC`` uses what the
+equations say about a whole line: it moves rigidly, so each phase shifts the
+lines of a raster window, which holds every term still in the frame, with
+one strided gather (the raster method of Paeth, "A Fast Algorithm for General
+Raster Rotation", 1986).  A backend refuses the requests it cannot run
+before any term is sheared.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
 
 from .arithmetic import FixedPointValue
-from .neqr import NEQRImage, Terms, paint
+from .neqr import NEQRImage
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -161,60 +159,78 @@ def line_steps(lines: np.ndarray, spec: ShearSpec) -> np.ndarray:
     return sign * np.sign(offset) * np.minimum(d, side)
 
 
-@lru_cache(maxsize=4)
-def _step_table(spec: ShearSpec) -> np.ndarray:
-    """``line_steps`` of every line of the spec's frame, read-only: computed
-    once for all the blocks of a phase."""
-    steps = line_steps(np.arange(1 << spec.n), spec)
-    steps.setflags(write=False)
-    return steps
-
-
 class PhaseBackend(Protocol):
-    """How one shear phase is computed.
-
-    Input terms must be in the spec's 2^n frame; terms that leave it are
-    dropped.  The driver coordinate of every kept term is unchanged.
-    ``BLOCK_TERMS`` is the most terms one ``shear`` call takes; a block
-    holds whole image rows, so a row longer than that is a block of its own.
-    """
-
-    BLOCK_TERMS: int
+    """How the shear phases of one request are computed."""
 
     def check(self, spec: ShearSpec) -> None:
         """Raise a DomainError if this backend cannot run the phase."""
 
-    def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
-        """Shear every term; returns the terms still in the frame."""
+    def run(self, image: NEQRImage, offset: int, phases: list[ShearSpec]) -> Iterator[np.ndarray]:
+        """Shear the image, its origin ``offset`` rows and columns into the
+        phases' 2^n frame, through each phase in turn; yield each phase's
+        frame, a uint8 raster no one else holds, without the terms that left it."""
 
 
 class SemanticBackend:
-    """Plain integer arithmetic: a step per frame line, one gather and one
-    mask on the moved column per phase; runs every phase."""
-
-    #: An int64 column of a block is 64 KiB, below glibc's default 128 KiB
-    #: mmap threshold, so the heap recycles every block temporary instead of
-    #: mapping (and page-faulting) fresh memory for each.
-    BLOCK_TERMS = 1 << 13
+    """Plain integer arithmetic on a raster window: a uint8 array and the
+    frame row and column of its origin, holding every term still in the
+    frame.  Each phase shifts the window's lines by their ``line_steps``
+    steps in one gather; runs every phase."""
 
     def check(self, spec: ShearSpec) -> None:
         pass
 
-    def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
-        side = 1 << spec.n
-        horizontal = spec.axis == HORIZONTAL
-        driver, moved = (terms.y, terms.x) if horizontal else (terms.x, terms.y)
-        shifted = _step_table(spec)[driver]
-        shifted += moved  # in place on the fresh gather, never on an input column
-        # the driver column is unchanged and in frame: mask the moved one only
-        inside = shifted.view(np.uint64) < side  # a negative coordinate reads as huge
-        color = terms.color
-        if not inside.all():
-            kept = np.flatnonzero(inside)
-            shifted, driver, color = shifted.take(kept), driver.take(kept), color.take(kept)
-        out = Terms(driver, shifted, color) if horizontal else Terms(shifted, driver, color)
-        out.frame = spec.n
-        return out
+    def run(self, image: NEQRImage, offset: int, phases: list[ShearSpec]) -> Iterator[np.ndarray]:
+        window, top, left = image.pixels, offset, offset
+        for phase in phases:
+            window, top, left = _shift_lines(window, top, left, phase)
+            side = 1 << phase.n
+            if window.shape == (side, side):  # the window is the whole frame
+                yield window
+                continue
+            frame = np.zeros((side, side), dtype=np.uint8)
+            frame[top : top + window.shape[0], left : left + window.shape[1]] = window
+            yield frame
+
+
+def _shift_lines(window: np.ndarray, top: int, left: int, spec: ShearSpec) -> tuple:
+    """The next (window, top, left) for the window at (``top``, ``left``) in
+    the spec's frame.  A vertical shear is the horizontal one on the
+    transposed views.  Rows that leave the frame whole are cut; the rest go
+    into a flat zero buffer, one gap of zeros between rows, and one fancy
+    index into a read-only view of row-long spans of that buffer reads each
+    row's new extent.
+    """
+    if not window.size:  # every term has left the frame
+        return window, top, left
+    horizontal = spec.axis == HORIZONTAL
+    if not horizontal:
+        window, top, left = window.T, left, top
+    side = 1 << spec.n
+    lines, length = window.shape
+    lo = line_steps(np.arange(top, top + lines), spec) + left  # each row's start after the shift
+    low, high = int(lo.min()), int(lo.max())
+    cut = slice(0, lines)
+    if low <= -length or high >= side:  # some rows leave the frame whole
+        live = np.flatnonzero((lo > -length) & (lo < side))
+        if not live.size:
+            return np.zeros((0, 0), dtype=np.uint8), 0, 0
+        cut = slice(int(live[0]), int(live[-1]) + 1)
+        lo = lo[cut]
+        low, high, lines = int(lo.min()), int(lo.max()), len(lo)
+    new_lo = max(low, 0)
+    width = min(high + length, side) - new_lo
+    # a row's new extent starts new_lo - lo into its old one: pad for the extremes
+    gap = max(high - new_lo, new_lo - low + width - length, 0)
+    stride = length + gap
+    buffer = np.zeros(gap + lines * stride, dtype=np.uint8)
+    buffer[gap:].reshape(lines, stride)[:, :length] = window[cut]
+    # numpy refuses a view reaching past the buffer
+    spans = np.ndarray((buffer.size - width + 1, width), np.uint8, buffer, 0, (1, 1))
+    spans.flags.writeable = False
+    starts = np.arange(gap + new_lo, buffer.size + new_lo, stride) - lo
+    out, top = spans[starts], top + cut.start
+    return (out, top, new_lo) if horizontal else (out.T, new_lo, top)
 
 
 SEMANTIC = SemanticBackend()
@@ -240,25 +256,12 @@ def _run_phases(
     image: NEQRImage, phases: tuple[ShearSpec, ...], canvas: str, backend: PhaseBackend
 ) -> list[NEQRImage]:
     """Run ``phases``, specs for the image's own frame, on the frame the canvas
-    picks; one snapshot per phase.
-
-    A term's path through the phases never depends on another term, so the
-    image's rows go through in blocks of at most the backend's
-    ``BLOCK_TERMS`` terms: each block runs all phases, painting each phase's
-    terms onto that phase's snapshot canvas, and no block outlives its turn.
-    """
+    picks, each vetted by the backend before any runs; one snapshot per phase."""
     exponent, offset = _frame(image.n, canvas)
     framed = [replace(phase, n=exponent) for phase in phases]
     for phase in framed:
         backend.check(phase)
-    canvases = [np.zeros(1 << 2 * exponent, dtype=np.uint8) for _ in framed]
-    rows = max(1, backend.BLOCK_TERMS >> image.n)
-    for start in range(0, image.side, rows):
-        terms = image.terms(offset, slice(start, start + rows))
-        for phase, painted in zip(framed, canvases):
-            terms = backend.shear(terms, phase)
-            paint(painted, exponent, terms)
-    return [NEQRImage.adopt(exponent, painted) for painted in canvases]
+    return [NEQRImage.adopt(exponent, frame) for frame in backend.run(image, offset, framed)]
 
 
 def apply_shear(

@@ -31,6 +31,7 @@ and whole phases chain cleanly.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from typing import Callable
 
@@ -43,7 +44,7 @@ from .arithmetic import (
     emit_modular_adder,
 )
 from .core import Netlist, NetlistBuilder, execute_lanes
-from .neqr import Terms
+from .neqr import NEQRImage, Terms, paint
 from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
 
 #: The largest frame exponent netlist mode runs: 2^9, the paper's 512x512 on
@@ -199,9 +200,6 @@ class NetlistBackend:
     The one place that refuses what gate-level execution cannot run.
     """
 
-    #: Every image it accepts in one block: a phase is one netlist walk.
-    BLOCK_TERMS = 1 << 2 * MAX_NETLIST_EXPONENT
-
     def __init__(self, order: str = "tb") -> None:
         self.order = order
 
@@ -218,8 +216,14 @@ class NetlistBackend:
                 f"(got {spec.factor.sixteenths}/16); use semantic mode"
             )
 
-    def shear(self, terms: Terms, spec: ShearSpec) -> Terms:
-        return run_shear_phase(terms, spec.n, spec, self.order).clip(spec.n)
+    def run(self, image: NEQRImage, offset: int, phases: list[ShearSpec]) -> Iterator[np.ndarray]:
+        """One netlist walk per phase over every term still in the frame."""
+        terms = image.terms(offset)
+        for phase in phases:
+            terms = run_shear_phase(terms, phase.n, phase, self.order).clip(phase.n)
+            frame = np.zeros(1 << 2 * phase.n, dtype=np.uint8)
+            paint(frame, phase.n, terms)
+            yield frame
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode
 from qimrot.pgm import read_pgm, write_pgm
 
-from rasters import columns, random_raster
+from rasters import columns
 
 
 def make_terms(y, x, color):
@@ -74,15 +74,6 @@ class TestTerms:
         assert terms.y.tolist() == [3, 3, 4, 4]
         assert terms.x.tolist() == [3, 4, 3, 4]
         assert terms.color.tolist() == [5, 6, 7, 8]
-
-    def test_row_ranges_concatenate_to_all_terms(self):
-        img = encode(random_raster(8, seed=3))
-        whole = img.terms(offset=2)
-        blocks = [img.terms(2, slice(start, start + 3)) for start in range(0, 8, 3)]
-        assert [len(block) for block in blocks] == [24, 24, 16]
-        for name in ("y", "x", "color"):
-            joined = np.concatenate([getattr(block, name) for block in blocks])
-            assert np.array_equal(joined, getattr(whole, name))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int16, np.uint8])
     def test_narrow_integer_coordinates_are_widened(self, dtype):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qimrot import shear, shear_netlists
 from qimrot.neqr import Terms, decode, encode
 from qimrot.oracle import oracle_shear, rotation_coordinate_map
 from qimrot.shear import (
@@ -13,7 +15,6 @@ from qimrot.shear import (
     SEMANTIC,
     VERTICAL,
     RotationSpec,
-    SemanticBackend,
     ShearSpec,
     UnsupportedAngleError,
     apply_shear,
@@ -123,11 +124,13 @@ class TestApplyShear:
     def test_rigid_row_shifts(self, raster, q16, sign):
         """Every row moves as one block: the per-row map is x -> x + d(y)."""
         exponent, offset = expanded_canvas_params(4)  # a frame no term leaves
-        terms = encode(raster).terms(offset)
-        out = SEMANTIC.shear(terms, spec_for(HORIZONTAL, q16, sign, exponent))
-        assert np.array_equal(out.y, terms.y) and np.array_equal(out.color, terms.color)
-        shifts = (out.x - terms.x).reshape(16, 16)
-        assert (shifts == shifts[:, :1]).all()
+        spec = spec_for(HORIZONTAL, q16, sign, 4)
+        out = decode(apply_shear(encode(raster), spec, "expand"))
+        expected = np.zeros_like(out)
+        steps = line_steps(np.arange(offset, offset + 16), replace(spec, n=exponent))
+        for y, d in enumerate(steps.tolist()):
+            expected[offset + y, offset + d : offset + d + 16] = raster[y]
+        assert np.array_equal(out, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -194,12 +197,13 @@ class TestSemanticBackend:
     @example(n=7, axis=VERTICAL, canvas="clip", factor=-1e308, seed=4)
     def test_line_table_shear_is_the_reference_on_every_term(self, n, axis, canvas, factor, seed):
         """The array rule gives every term the reference loop's step, saturated
-        at +-side, and the semantic backend keeps exactly the reference's
-        in-frame terms, in order."""
+        at +-side, and the semantic backend's frame is the reference's
+        in-frame terms painted on zeros."""
         exponent, offset = expanded_canvas_params(n) if canvas == "expand" else (n, 0)
         side = 1 << exponent
         spec = ShearSpec.from_factor(axis, factor, exponent)
-        terms = encode(random_raster(1 << n, seed=seed)).terms(offset)
+        image = encode(random_raster(1 << n, seed=seed))
+        terms = image.terms(offset)
         ref_y, ref_x, ref_color = reference_shear(terms, spec)
         horizontal = axis == HORIZONTAL
         moved, ref_moved = (terms.x, ref_x) if horizontal else (terms.y, ref_y)
@@ -208,34 +212,30 @@ class TestSemanticBackend:
             max(-side, min(side, r - m)) for m, r in zip(moved.tolist(), ref_moved)
         ]
         kept = [i for i, (y, x) in enumerate(zip(ref_y, ref_x)) if 0 <= y < side and 0 <= x < side]
-        out = SEMANTIC.shear(terms, spec)
-        assert out.y.tolist() == [ref_y[i] for i in kept]
-        assert out.x.tolist() == [ref_x[i] for i in kept]
-        assert out.color.tolist() == [ref_color[i] for i in kept]
+        expected = np.zeros((side, side), dtype=np.uint8)
+        expected[[ref_y[i] for i in kept], [ref_x[i] for i in kept]] = [ref_color[i] for i in kept]
+        (frame,) = SEMANTIC.run(image, offset, [spec])
+        assert frame.dtype == np.uint8
+        assert np.array_equal(frame, expected)
 
-    # at expand, 0.3 drops no term, so a shear's output shares its driver column
     @pytest.mark.parametrize("factor", [0.3, -0.9, 5.0])
     @pytest.mark.parametrize("canvas", ["clip", "expand"])
     def test_shear_and_rotate_leave_their_inputs_unchanged(self, canvas, factor):
+        """The input raster is only read, and every frame returned is
+        read-only and shares no memory with the input or another frame."""
         img = encode(random_raster(16, seed=21))
         raster = img.raster()
-        exponent, offset = expanded_canvas_params(4) if canvas == "expand" else (4, 0)
-        terms = img.terms(offset)
-        before = [column.copy() for column in (terms.y, terms.x, terms.color)]
-        for axis in (HORIZONTAL, VERTICAL):
-            sheared = SEMANTIC.shear(terms, ShearSpec.from_factor(axis, factor, exponent))
-            assert sheared.y.dtype == sheared.x.dtype == np.int64
-            assert sheared.color.dtype == np.uint8
-            assert sheared.clip(exponent) is sheared  # masked once, not again
-        for column, copy in zip((terms.y, terms.x, terms.color), before):
-            assert np.array_equal(column, copy)
-        rotate(img, RotationSpec(np.degrees(np.arctan(factor))), canvas)
+        frames = [apply_shear(img, ShearSpec.from_factor(axis, factor, 4), canvas)
+                  for axis in (HORIZONTAL, VERTICAL)]
+        res = rotate(img, RotationSpec(np.degrees(np.arctan(factor))), canvas)
+        frames += [res.phase1, res.phase2, res.final]
         assert np.array_equal(img.raster(), raster)
-
-    def test_narrow_input_columns_come_out_int64(self):
-        y, x = np.array([1, 2, 3], dtype=np.int32), np.array([0, 3, 1], dtype=np.int16)
-        out = SEMANTIC.shear(Terms(y, x, np.ones(3, dtype=np.uint8)), spec_for(VERTICAL, 8, 1, 2))
-        assert out.y.dtype == out.x.dtype == np.int64
+        for i, frame in enumerate(frames):
+            assert not frame.pixels.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frame.pixels[0, 0] = 1
+            for other in [img] + frames[i + 1 :]:
+                assert not np.shares_memory(frame.pixels, other.pixels)
 
     def test_dtypes_survive_clip(self):
         y, x = np.array([0, 7], dtype=np.int64), np.array([-3, 1], dtype=np.int64)
@@ -366,58 +366,96 @@ class TestRotate:
         assert_rotation_round_trip(random_raster(1 << n, seed=n), theta, NetlistBackend())
 
 
-def count_shears(monkeypatch, backend_class):
-    """The term count of every ``shear`` call the backend class gets, in order."""
-    sizes = []
-    shear_terms = backend_class.shear
-
-    def counted(self, terms, spec):
-        sizes.append(len(terms))
-        return shear_terms(self, terms, spec)
-
-    monkeypatch.setattr(backend_class, "shear", counted)
-    return sizes
-
-
 class TestRowBlocks:
+    """How each backend takes the image: the netlist backend all its terms
+    in one block, the semantic one as a window of whole lines."""
+
     @pytest.mark.parametrize("side, canvas", [(512, "clip"), (128, "expand")])
     def test_netlist_backend_walks_each_phase_once(self, monkeypatch, side, canvas):
         """Every image the netlist backend accepts is one block, so a phase
         is one netlist walk over all its terms."""
-        sizes = count_shears(monkeypatch, NetlistBackend)
+        sizes = []
+        walk = shear_netlists.run_shear_phase
+
+        def counted(terms, n, spec, order="tb"):
+            sizes.append(len(terms))
+            return walk(terms, n, spec, order)
+
+        monkeypatch.setattr(shear_netlists, "run_shear_phase", counted)
         rotate(encode(random_raster(side, seed=side)), RotationSpec(30), canvas, NetlistBackend())
         assert len(sizes) == 3 and sizes[0] == side * side
 
     @pytest.mark.parametrize("side, canvas", [(512, "clip"), (512, "expand"), (16, "clip")])
-    def test_semantic_backend_never_takes_more_than_its_block(self, monkeypatch, side, canvas):
-        sizes = count_shears(monkeypatch, SemanticBackend)
-        rotate(encode(random_raster(side, seed=side)), RotationSpec(45), canvas)
-        blocks = -(-side * side // SemanticBackend.BLOCK_TERMS)
-        assert len(sizes) == 3 * blocks
-        assert max(sizes) <= SemanticBackend.BLOCK_TERMS
-        assert sum(sizes[::3]) == side * side  # every term enters phase 1 once
+    def test_semantic_window_holds_every_term_still_in_the_frame(self, monkeypatch, side, canvas):
+        """Each phase's frame is its window pasted on zeros.  No pixel is 0, so
+        a term shows wherever it lands: the first window, whole rows shifted,
+        is exactly the terms' bounding box, and on the expand canvas every
+        window stays within 5 image areas of the 16 the frame has."""
+        windows = []
+        shift = shear._shift_lines
+
+        def recorded(*args):
+            windows.append(shift(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(shear, "_shift_lines", recorded)
+        res = rotate(encode(random_raster(side, seed=side) | 1), RotationSpec(45), canvas)
+        assert len(windows) == 3
+        for (window, top, left), frame in zip(windows, (res.phase1, res.phase2, res.final)):
+            bottom, right = top + window.shape[0], left + window.shape[1]
+            assert 0 <= top < bottom <= frame.side and 0 <= left < right <= frame.side
+            outside = frame.raster()
+            assert np.array_equal(outside[top:bottom, left:right], window)
+            outside[top:bottom, left:right] = 0
+            assert not outside.any()
+            if canvas == "expand":
+                assert window.size <= 5 * side * side
+        rows, cols = np.nonzero(res.phase1.pixels)
+        window, top, left = windows[0]
+        assert (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1) == (
+            top, top + window.shape[0], left, left + window.shape[1])
 
     @pytest.mark.parametrize("canvas", ["clip", "expand"])
-    @pytest.mark.parametrize("block", [1, 3 * 16, 16 * 16], ids=["1-term", "3-rows", "whole-image"])
-    def test_block_size_does_not_change_outputs(self, monkeypatch, canvas, block):
-        """Blocks of one term (one row), of 3 rows (which do not divide the
-        side) and of the whole image give the default run's frames, which
-        are the oracle's shear chain."""
-        side, theta, factor = 16, -37.5, 0.7
+    @pytest.mark.parametrize("side", [2, 16, 64])
+    def test_window_frames_are_the_oracle_chain(self, canvas, side):
+        """From a 2x2 image up, rotate's frames and apply_shear's frame on
+        either axis are the oracle's on the framed raster."""
+        theta, factor = -37.5, 0.7
         raster = random_raster(side, seed=23)
         img = encode(raster)
-        spec = ShearSpec.from_factor(VERTICAL, factor, img.n)
-        default = rotate(img, RotationSpec(theta), canvas), apply_shear(img, spec, canvas)
-        monkeypatch.setattr(SemanticBackend, "BLOCK_TERMS", block)
-        res, sheared = rotate(img, RotationSpec(theta), canvas), apply_shear(img, spec, canvas)
-
-        frames = (res.phase1, res.phase2, res.final)
-        assert frames == (default[0].phase1, default[0].phase2, default[0].final)
-        assert sheared == default[1]
+        res = rotate(img, RotationSpec(theta), canvas)
         framed = framed_raster(raster, canvas)
-        for got, want in zip(frames, oracle_chain(framed, theta)):
+        for got, want in zip((res.phase1, res.phase2, res.final), oracle_chain(framed, theta)):
             assert np.array_equal(decode(got), want)
-        assert np.array_equal(decode(sheared), oracle_shear(framed, VERTICAL, factor))
+        for axis in (HORIZONTAL, VERTICAL):
+            sheared = apply_shear(img, ShearSpec.from_factor(axis, factor, img.n), canvas)
+            assert np.array_equal(decode(sheared), oracle_shear(framed, axis, factor))
+
+    def test_a_phase_that_clips_every_term_leaves_a_zero_frame_for_the_next(self):
+        """A 2x2 image in the corner of an 8x8 frame, above its median row:
+        factor 40 moves both rows past the left edge, and the vertical phase
+        after it runs on the empty window."""
+        image = encode(np.full((2, 2), 9, dtype=np.uint8))
+        phases = [ShearSpec.from_factor(HORIZONTAL, 40.0, 3), ShearSpec.from_factor(VERTICAL, 0.5, 3),
+                  ShearSpec.from_factor(HORIZONTAL, -1e6, 3)]
+        frames = list(SEMANTIC.run(image, 0, phases))
+        assert len(frames) == 3
+        for frame in frames:
+            assert frame.shape == (8, 8) and not frame.any()
+
+    @pytest.mark.parametrize("axis", [HORIZONTAL, VERTICAL])
+    @pytest.mark.parametrize("factor", [40.0, -1e6])
+    def test_expand_factors_past_the_frame_edge_are_the_oracle(self, factor, axis):
+        """At 64x64 on the 256 frame, factor 40 sends the lines next to the
+        median against the frame's edges, partly clipped, and -1e6 sends all
+        but the median line off the frame."""
+        raster = random_raster(64, seed=40) | 1
+        framed = framed_raster(raster, "expand")
+        out = decode(apply_shear(encode(raster), ShearSpec.from_factor(axis, factor, 6), "expand"))
+        assert np.array_equal(out, oracle_shear(framed, axis, factor))
+        lines = out if axis == HORIZONTAL else out.T
+        reaches_both_edges = bool(lines[:, 0].any() and lines[:, -1].any())
+        assert reaches_both_edges == (factor == 40.0)
 
 
 class TestExactTurns:
