@@ -10,64 +10,90 @@ and if one ever did the report would surface it verbatim rather than round.
 inversions, half-dispatch controls, operand masking, and uncomputation
 passes.  ``delta`` is measured_core - predicted and must be zero for every
 construction in this package.
+
+The width kinds are priced from their own standalone builds.  The three
+grid kinds are priced from one ``build_uniform_horizontal_shear(n, m)`` per
+(n, m), through the spans its half-shear emitter records: the controlled
+multiplier is the first ``multiply`` span, the top half shear the first
+``half`` span, and the full shear the whole netlist.  Each is still a built,
+validated netlist priced gate by gate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .arithmetic import (
-    build_adder,
-    build_ctrl_multi,
-    build_interpolation,
-    build_self_adder,
-)
+from .arithmetic import build_adder, build_interpolation, build_self_adder
 from .core import core_and_overhead_cost
-from .shear_netlists import build_uniform_half_shear, build_uniform_horizontal_shear
+from .shear_netlists import build_uniform_horizontal_shear
 
 #: Kinds priced by a single width n.
 WIDTH_KINDS = ("self_adder", "adder", "interpolation")
 #: Kinds priced by (n, m).
 GRID_KINDS = ("ctrl_multi", "top_half_shear", "full_horizontal_shear")
 
-#: kind -> (closed form, builder), each called with (n, m); width kinds ignore
-#: m.  Builders are looked up by name per call, so a wrapped module attribute
-#: (a profiler's, say) is the one called.
-_KINDS = {
-    "self_adder": (lambda n, m: Fraction(n), lambda n, m: build_self_adder(n)),
-    "adder": (lambda n, m: Fraction(28 * n - 12), lambda n, m: build_adder(n)),
-    "interpolation": (lambda n, m: Fraction(28 * n - 11), lambda n, m: build_interpolation(n)),
-    "ctrl_multi": (lambda n, m: Fraction(29, 2) * n * (n + 2 * m - 1),
-                   lambda n, m: build_ctrl_multi(n, m)),
-    "top_half_shear": (lambda n, m: (Fraction(29, 2) * n + 29 * m + Fraction(139, 2)) * n - 35,
-                       lambda n, m: build_uniform_half_shear(n, m)),
-    "full_horizontal_shear": (lambda n, m: Fraction(29 * n * n + 58 * m * n + 139 * n - 70),
-                              lambda n, m: build_uniform_horizontal_shear(n, m)),
+#: kind -> closed form, called with (n, m); width kinds ignore m.
+_CLOSED_FORMS = {
+    "self_adder": lambda n, m: Fraction(n),
+    "adder": lambda n, m: Fraction(28 * n - 12),
+    "interpolation": lambda n, m: Fraction(28 * n - 11),
+    "ctrl_multi": lambda n, m: Fraction(29, 2) * n * (n + 2 * m - 1),
+    "top_half_shear": lambda n, m: (Fraction(29, 2) * n + 29 * m + Fraction(139, 2)) * n - 35,
+    "full_horizontal_shear": lambda n, m: Fraction(29 * n * n + 58 * m * n + 139 * n - 70),
+}
+
+#: width kind -> builder.  Builders are looked up by name per call, so a
+#: wrapped module attribute (a profiler's, say) is the one called.
+_WIDTH_BUILDERS = {
+    "self_adder": lambda n: build_self_adder(n),
+    "adder": lambda n: build_adder(n),
+    "interpolation": lambda n: build_interpolation(n),
 }
 
 
-def _kind(kind: str, n: int, m: int | None) -> tuple:
-    """The (closed form, builder) pair of a kind, after checking its widths."""
-    if kind not in _KINDS:
+def _check(kind: str, n: int, m: int | None) -> None:
+    """Refuse an unknown kind, or widths its closed form does not take."""
+    if kind not in _CLOSED_FORMS:
         raise ValueError(f"unknown circuit kind {kind!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     if kind in GRID_KINDS and m is None:
         raise ValueError(f"{kind} needs the factor width m")
-    return _KINDS[kind]
 
 
 def predict(kind: str, n: int, m: int | None = None) -> Fraction:
     """Exact rational evaluation of the closed form for one construction."""
-    closed_form, _ = _kind(kind, n, m)
-    return closed_form(n, m)
+    _check(kind, n, m)
+    return _CLOSED_FORMS[kind](n, m)
+
+
+def _grid_costs(n: int, m: int) -> dict[str, tuple[int, int]]:
+    """(measured core, overhead) of every grid kind, from one full uniform
+    shear: its first half, the rest, and the first half's multiplier are
+    each priced once."""
+    netlist = build_uniform_horizontal_shear(n, m)
+    (_, half), multiply = netlist.spans["half"][0], netlist.spans["multiply"][0]
+    top = core_and_overhead_cost(netlist, 0, half)  # the first half opens the netlist
+    rest = core_and_overhead_cost(netlist, half)
+    return {
+        "ctrl_multi": core_and_overhead_cost(netlist, *multiply),
+        "top_half_shear": top,
+        "full_horizontal_shear": (top[0] + rest[0], top[1] + rest[1]),
+    }
 
 
 def measure(kind: str, n: int, m: int | None = None) -> tuple[int, int]:
-    """Build the netlist and return (measured core, overhead) counts."""
-    _, build = _kind(kind, n, m)
-    return core_and_overhead_cost(build(n, m))
+    """Build the netlist and return (measured core, overhead) counts.
+
+    A grid kind is priced from its span of ``build_uniform_horizontal_shear(n,
+    m)``, the same path ``audit_report`` takes; m must be at least 4.
+    """
+    _check(kind, n, m)
+    if kind in GRID_KINDS:
+        return _grid_costs(n, m)[kind]
+    return core_and_overhead_cost(_WIDTH_BUILDERS[kind](n))
 
 
 @dataclass(frozen=True)
@@ -79,7 +105,7 @@ class AuditRow:
     measured_core: int
     overhead: int
 
-    @property
+    @cached_property
     def delta(self) -> Fraction:
         return Fraction(self.measured_core) - self.predicted
 
@@ -88,13 +114,16 @@ class AuditRow:
 class GateCostReport:
     rows: list[AuditRow]
 
+    def __post_init__(self) -> None:
+        self._mismatches = [r for r in self.rows if r.delta != 0]
+
     def mismatches(self) -> list[AuditRow]:
-        return [r for r in self.rows if r.delta != 0]
+        return list(self._mismatches)
 
     @property
     def ok(self) -> bool:
         """Every row, shear rows included, matches its closed form exactly."""
-        return not self.mismatches()
+        return not self._mismatches
 
     def to_csv(self) -> str:
         lines = ["kind,n,m,predicted,measured_core,overhead,delta"]
@@ -124,15 +153,17 @@ def audit_report(
     n_values: Sequence[int] = range(2, 7),
     m_values: Sequence[int] = range(4, 9),
 ) -> GateCostReport:
-    """Measure every construction over the requested size grid."""
+    """Measure every construction over the requested size grid, building
+    one full uniform shear per (n, m) for all three grid kinds."""
     rows: list[AuditRow] = []
     for kind in WIDTH_KINDS:
         for n in n_values:
             core, overhead = measure(kind, n)
             rows.append(AuditRow(kind, n, None, predict(kind, n), core, overhead))
+    grid = {(n, m): _grid_costs(n, m) for n in n_values for m in m_values}
     for kind in GRID_KINDS:
         for n in n_values:
             for m in m_values:
-                core, overhead = measure(kind, n, m)
+                core, overhead = grid[n, m][kind]
                 rows.append(AuditRow(kind, n, m, predict(kind, n, m), core, overhead))
     return GateCostReport(rows)

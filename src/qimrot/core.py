@@ -29,13 +29,18 @@ with it.
 Cost accounting uses CNOT-equivalents: NOT and CNOT count 1, a Toffoli counts
 6, and each control-on-0 polarity adds 2 (one basis flip before and one
 after).  Gates may be tagged ``overhead`` at construction time; the audit
-module reports core and overhead totals separately.
+module reports core and overhead totals separately.  A builder can also name
+stretches of its gates (``NetlistBuilder.span``), and
+``core_and_overhead_cost`` prices any gate range, so one netlist can be priced
+segment by segment.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import contextmanager
 from functools import cached_property
+from itertools import islice
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -83,7 +88,9 @@ class Netlist:
     tuples (target, first control, second control, overhead flag; see the
     module docstring).  Register wire lists are least significant bit first.
     ``ancillas`` names registers that must enter and leave every execution at
-    zero; builders uphold that contract and tests verify it.
+    zero; builders uphold that contract and tests verify it.  ``spans`` maps a
+    name to the ``(start, stop)`` gate ranges recorded under it, in the order
+    they closed.  Spans are metadata: equality ignores them.
     """
 
     def __init__(
@@ -92,11 +99,13 @@ class Netlist:
         columns: Iterable[Iterable],
         registers: Mapping[str, tuple[int, ...]],
         ancillas: Iterable[str] = frozenset(),
+        spans: Mapping[str, Iterable[tuple[int, int]]] = MappingProxyType({}),
     ) -> None:
         self.labels = tuple(labels)
         self.columns = tuple(tuple(column) for column in columns)
         self.registers = dict(registers)
         self.ancillas = frozenset(ancillas)
+        self.spans = MappingProxyType({name: tuple(ranges) for name, ranges in spans.items()})
         self._validate()
 
     def _validate(self) -> None:
@@ -106,10 +115,11 @@ class Netlist:
             wire = next(wire for wire in targets if not 0 <= wire < n)
             raise CircuitStructureError(f"gate target {wire} outside wire table")
         # wire w reads as w on |1> and ~w on |0>: in the table exactly when in [-n, n)
-        signed = [c for c in firsts + seconds if c is not None]
-        if signed and not (-n <= min(signed) and max(signed) < n):
-            wire = next(_control(c)[0] for c in signed if not -n <= c < n)
-            raise CircuitStructureError(f"gate control {wire} outside wire table")
+        for column in (firsts, seconds):
+            signed = [c for c in column if c is not None]
+            if signed and not (-n <= min(signed) and max(signed) < n):
+                wire = next(_control(c)[0] for c in signed if not -n <= c < n)
+                raise CircuitStructureError(f"gate control {wire} outside wire table")
         for name, ids in self.registers.items():
             for wire in ids:
                 if not 0 <= wire < n:
@@ -117,6 +127,10 @@ class Netlist:
         for name in self.ancillas:
             if name not in self.registers:
                 raise CircuitStructureError(f"ancilla register {name!r} not in table")
+        for name, ranges in self.spans.items():
+            for start, stop in ranges:
+                if not 0 <= start <= stop <= len(targets):
+                    raise CircuitStructureError(f"span {name!r} ({start}, {stop}) outside the gates")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Netlist):
@@ -226,7 +240,8 @@ def execute_lanes(
 
 def invert(netlist: Netlist) -> Netlist:
     """Reverse the gate order.  Every primitive is self-inverse, so the
-    result takes every output state of the original back to its input."""
+    result takes every output state of the original back to its input.  The
+    result has no spans."""
     return Netlist(
         netlist.labels,
         [column[::-1] for column in netlist.columns],
@@ -240,16 +255,19 @@ def cost(netlist: Netlist) -> int:
     return sum(core_and_overhead_cost(netlist))
 
 
-def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
-    """Split the total cost into (core, overhead).
+def core_and_overhead_cost(
+    netlist: Netlist, start: int = 0, stop: int | None = None
+) -> tuple[int, int]:
+    """Split the cost of gates[start:stop] into (core, overhead).
 
     Core counts non-overhead gates at their base kind cost.  Overhead counts
     overhead-tagged gates plus every polarity surcharge, i.e. all the control
-    and uncomputation plumbing the closed-form core counts exclude.
+    and uncomputation plumbing the closed-form core counts exclude.  The
+    columns are read in place, never copied.
     """
     core = overhead = 0
     _, firsts, seconds, flags = netlist.columns
-    for second, plumbing in zip(seconds, flags):
+    for second, plumbing in zip(islice(seconds, start, stop), islice(flags, start, stop)):
         # NOT and CNOT cost the same, so the second control alone sets the price
         price = _BASE_COST[1 if second is None else 2]
         if plumbing:
@@ -257,7 +275,8 @@ def core_and_overhead_cost(netlist: Netlist) -> tuple[int, int]:
         else:
             core += price
     # a control on |0> is stored complemented, so negative
-    on_zero = sum(1 for c in firsts + seconds if c is not None and c < 0)
+    on_zero = sum(1 for column in (firsts, seconds)
+                  for c in islice(column, start, stop) if c is not None and c < 0)
     return core, overhead + POLARITY_SURCHARGE * on_zero
 
 
@@ -273,6 +292,7 @@ class NetlistBuilder:
         self._columns: tuple[list, list, list, list] = ([], [], [], [])
         self._registers: dict[str, tuple[int, ...]] = {}
         self._ancillas: set[str] = set()
+        self._spans: dict[str, list[tuple[int, int]]] = {}
         self._overhead_depth = 0
 
     def register(self, name: str, width: int, ancilla: bool = False) -> list[int]:
@@ -296,6 +316,16 @@ class NetlistBuilder:
             yield
         finally:
             self._overhead_depth -= 1
+
+    @contextmanager
+    def span(self, name: str) -> Iterator[None]:
+        """Record the gates emitted while the context is active as one
+        ``(start, stop)`` range under ``name``; the netlist's ``spans`` keeps
+        them.  Spans may nest, and a name may recur: its ranges are kept in
+        the order they close."""
+        start = self.mark()
+        yield
+        self._spans.setdefault(name, []).append((start, self.mark()))
 
     # Each method fixes its gate's kind and arity, so only the wires and
     # polarities need checking; a failure goes through _refuse for its message.
@@ -331,7 +361,8 @@ class NetlistBuilder:
         """Reverse the gates emitted since ``mark`` in place.
 
         Reversing a freshly emitted block turns it into its inverse, which is
-        how subtractors are derived from adders.
+        how subtractors are derived from adders.  Spans that closed since
+        ``mark`` keep their ranges, so they no longer frame the same gates.
         """
         for column in self._columns:
             column[mark:] = reversed(column[mark:])
@@ -348,4 +379,4 @@ class NetlistBuilder:
         flags.extend([True] * (stop - start))
 
     def build(self) -> Netlist:
-        return Netlist(self._labels, self._columns, self._registers, self._ancillas)
+        return Netlist(self._labels, self._columns, self._registers, self._ancillas, self._spans)

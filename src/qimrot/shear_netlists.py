@@ -21,7 +21,12 @@ interpolation's integer wires, and the update's adder, addend and target.
   multiply the m-bit ``fac``, and a width-n adder updates ``x``.  Their core
   is exactly two adders + one controlled multiplier + one interpolation, so
   it equals the closed forms (14.5n + 29m + 69.5)n - 35 per half and
-  29n^2 + 58mn + 139n - 70 for both halves.
+  29n^2 + 58mn + 139n - 70 for both halves.  The audit builds only the full
+  shear and prices its rows from the ``half`` and ``multiply`` spans every
+  half records: the first ``multiply`` span is the standalone
+  ``arithmetic.build_ctrl_multi(n, m)`` gate for gate, and the first
+  ``half`` span is ``build_uniform_half_shear(n, m)``, a prefix of the full
+  shear.
 
 The half-dispatch control (one CNOT per half, firing on the driving
 coordinate's top bit, polarity 0 for the low half) and the uncomputation
@@ -96,34 +101,37 @@ def _emit_half(
     ``operands`` maps the offset register to the multiplier's (multiplier,
     multiplicand); ``integer`` is the interpolation's value bits plus its
     carry-out wire; ``update`` is (adder, addend, target), the adder applied
-    backwards when ``subtract`` is set.
+    backwards when ``subtract`` is set.  The half is recorded as a ``half``
+    span and its multiplier as a ``multiply`` span.
     """
     med, ctrl, carry = regs["med"], regs["ctrl"][0], regs["carry"]
     n = len(med) - 1
     polarity = 0 if low_half else 1
 
-    with nb.overhead():
-        nb.cx(driver[n - 1], ctrl, on=polarity)
-    start = nb.mark()
-    # offset = |driver - median|: median - driver on the low half, left in
-    # med; driver - median on the high half, left in the driver's low wires
-    subtrahend, offset = (driver[:n], med) if low_half else (med[:n], driver[: n + 1])
-    emit_adder(nb, subtrahend, offset, carry)
-    nb.reverse_tail(start)
-    multiplier, multiplicand = operands(offset)
-    p, t = regs["p"], regs["t"][0]
-    emit_ctrl_multi(nb, multiplier, multiplicand, ctrl, p, t, regs["mask"], carry, regs["dbls"])
-    emit_interpolation(nb, integer, p[3], regs["rnd"], carry)
-    stop = nb.mark()
+    with nb.span("half"):
+        with nb.overhead():
+            nb.cx(driver[n - 1], ctrl, on=polarity)
+        start = nb.mark()
+        # offset = |driver - median|: median - driver on the low half, left in
+        # med; driver - median on the high half, left in the driver's low wires
+        subtrahend, offset = (driver[:n], med) if low_half else (med[:n], driver[: n + 1])
+        emit_adder(nb, subtrahend, offset, carry)
+        nb.reverse_tail(start)
+        multiplier, multiplicand = operands(offset)
+        p, t = regs["p"], regs["t"][0]
+        with nb.span("multiply"):
+            emit_ctrl_multi(nb, multiplier, multiplicand, ctrl, p, t, regs["mask"], carry, regs["dbls"])
+        emit_interpolation(nb, integer, p[3], regs["rnd"], carry)
+        stop = nb.mark()
 
-    adder, addend, target = update
-    adder(nb, addend, target, carry)
-    if subtract:
-        nb.reverse_tail(stop)
+        adder, addend, target = update
+        adder(nb, addend, target, carry)
+        if subtract:
+            nb.reverse_tail(stop)
 
-    nb.append_inverse_of(start, stop)
-    with nb.overhead():
-        nb.cx(driver[n - 1], ctrl, on=polarity)
+        nb.append_inverse_of(start, stop)
+        with nb.overhead():
+            nb.cx(driver[n - 1], ctrl, on=polarity)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from qimrot import arithmetic, audit, shear_netlists
+from qimrot.arithmetic import build_ctrl_multi
 from qimrot.audit import (
     GRID_KINDS,
     WIDTH_KINDS,
@@ -11,6 +14,8 @@ from qimrot.audit import (
     measure,
     predict,
 )
+from qimrot.core import core_and_overhead_cost
+from qimrot.shear_netlists import build_uniform_half_shear, build_uniform_horizontal_shear
 
 
 class TestPredict:
@@ -107,3 +112,74 @@ class TestReport:
     def test_delta_is_rational_difference(self):
         row = AuditRow("ctrl_multi", 1, 1, Fraction(29), 29, 10)
         assert row.delta == 0
+
+
+@pytest.mark.parametrize("n_values, m_values, rows, digest", [
+    # the default grid
+    (range(2, 7), range(4, 9), 90,
+     "d9387fdbd6fd47cc6a3456fd9c23a5e5ebb06ab9668b23a6765041137b2a71ce"),
+    # CI's grid
+    (range(1, 10), range(4, 13), 270,
+     "f787a061662d163507613c18191d91f8be4af920ba51e207eeec1f308cb2645b"),
+    # the benchmark's small-mixed grid
+    (range(2, 5), range(4, 9), 54,
+     "bf8d7c1363e6f65c18b3fae950736b5a64b31d9a9b54152b4f79d9a4669d180d"),
+])
+def test_audit_csv_is_pinned(n_values, m_values, rows, digest):
+    report = audit_report(n_values, m_values)
+    assert len(report.rows) == rows
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == digest
+
+
+class TestSpanPrices:
+    """The audit prices its grid rows from spans of one full uniform shear;
+    each span must price exactly as the standalone netlist it stands for."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_first_multiply_span_prices_as_the_standalone_multiplier(self, n):
+        for m in range(4, 13):
+            full = build_uniform_horizontal_shear(n, m)
+            span = full.spans["multiply"][0]
+            assert core_and_overhead_cost(full, *span) == core_and_overhead_cost(
+                build_ctrl_multi(n, m)), (n, m)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_first_half_span_is_the_half_shear(self, n):
+        for m in range(4, 13):
+            full, half = build_uniform_horizontal_shear(n, m), build_uniform_half_shear(n, m)
+            start, stop = full.spans["half"][0]
+            assert (start, stop) == (0, len(half.gates))
+            assert core_and_overhead_cost(full, start, stop) == core_and_overhead_cost(half)
+            assert full.labels == half.labels and full.registers == half.registers
+            assert all(whole[:stop] == part for whole, part in zip(full.columns, half.columns))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_half_spans_tile_the_shear_and_hold_their_multipliers(self, n):
+        for m in range(4, 13):
+            full = build_uniform_horizontal_shear(n, m)
+            (a, h), (b, end) = full.spans["half"]
+            assert (a, b, end) == (0, h, len(full.gates)), (n, m)
+            for (start, stop), (lo, hi) in zip(full.spans["multiply"], full.spans["half"]):
+                assert lo < start < stop < hi, (n, m)
+            assert len(full.spans["multiply"]) == 2
+
+    def test_report_builds_one_full_shear_per_grid_point(self, monkeypatch):
+        calls = {"build_uniform_horizontal_shear": 0, "build_uniform_half_shear": 0,
+                 "build_ctrl_multi": 0}
+
+        def counted(name, build):
+            def wrapper(*args):
+                calls[name] += 1
+                return build(*args)
+            return wrapper
+
+        for home in (arithmetic, shear_netlists):
+            for name in calls:
+                if hasattr(home, name):
+                    wrapper = counted(name, getattr(home, name))
+                    monkeypatch.setattr(home, name, wrapper)
+                    # the audit module's own binding, if it has one, is the one it calls
+                    monkeypatch.setattr(audit, name, wrapper, raising=False)
+        assert audit_report(range(2, 5), range(4, 9)).ok
+        assert calls == {"build_uniform_horizontal_shear": 15, "build_uniform_half_shear": 0,
+                         "build_ctrl_multi": 0}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qimrot.core import (
     CircuitStructureError,
     Gate,
+    Netlist,
     NetlistBuilder,
     core_and_overhead_cost,
     cost,
@@ -234,10 +235,11 @@ def test_gate_tuples_round_trip_through_the_columns(n):
         assert invert(netlist).gates == tuple(reversed(netlist.gates))
 
 
-def reference_cost(netlist):
-    """(core, overhead) summed over the ``Gate`` tuples, as the module docstring states it."""
+def reference_cost(netlist, start=0, stop=None):
+    """(core, overhead) of gates[start:stop] summed over the ``Gate`` tuples, as
+    the module docstring states it."""
     core = overhead = 0
-    for gate in netlist.gates:
+    for gate in netlist.gates[start:stop]:
         base = 6 if gate.kind == "TOFFOLI" else 1
         if gate.overhead:
             overhead += base
@@ -274,6 +276,58 @@ def test_column_cost_counts_every_control_on_zero():
         nb.x(2)
     netlist = nb.build()
     assert core_and_overhead_cost(netlist) == reference_cost(netlist) == (7, 1 + 3 * 2)
+
+
+@pytest.mark.parametrize("kind", AUDIT_BUILDERS)
+def test_range_cost_is_the_sum_over_gate_tuples_of_the_range(kind):
+    for n in range(1, 5):
+        for m in range(4, 7):
+            netlist = AUDIT_BUILDERS[kind](n, m)
+            end = len(netlist.gates)
+            ranges = [(0, 0), (0, 1), (1, None), (end // 3, 2 * end // 3), (end, None)]
+            ranges += [r for spans in netlist.spans.values() for r in spans]
+            for start, stop in ranges:
+                want = reference_cost(netlist, start, stop)
+                assert core_and_overhead_cost(netlist, start, stop) == want, (n, m, start, stop)
+
+
+class TestSpans:
+    def test_builder_records_nested_and_recurring_spans(self):
+        nb = NetlistBuilder()
+        nb.register("w", 3)
+        nb.x(0)
+        with nb.span("outer"):
+            nb.cx(0, 1)
+            with nb.span("inner"):
+                nb.ccx(0, 1, 2)
+            with nb.span("inner"):
+                pass
+        with nb.span("outer"):
+            nb.x(2)
+        spans = nb.build().spans
+        assert dict(spans) == {"inner": ((2, 3), (3, 3)), "outer": ((1, 3), (3, 4))}
+
+    def test_spans_are_read_only_metadata(self):
+        netlist = build_uniform_horizontal_shear(2, 4)
+        assert set(netlist.spans) == {"half", "multiply"}
+        with pytest.raises(TypeError):
+            netlist.spans["half"] = ()
+        bare = Netlist(netlist.labels, netlist.columns, netlist.registers, netlist.ancillas)
+        assert dict(bare.spans) == {} and bare == netlist
+        assert dict(invert(netlist).spans) == {}
+        assert invert(invert(netlist)) == netlist
+
+    @pytest.mark.parametrize("span", [(-1, 0), (1, 0), (0, 2)])
+    def test_span_outside_the_gates_refused(self, span):
+        netlist = single_not_netlist()
+        with pytest.raises(CircuitStructureError, match="span 'all'"):
+            Netlist(netlist.labels, netlist.columns, netlist.registers, spans={"all": [span]})
+
+    def test_image_netlists_record_both_halves(self):
+        netlist = build_shear_netlist(3, "horizontal", 1)
+        first, second = netlist.spans["half"]
+        assert first[0] == 0 and first[1] == second[0] and second[1] == len(netlist.gates)
+        assert len(netlist.spans["multiply"]) == 2
 
 
 def test_dump_format_golden():
