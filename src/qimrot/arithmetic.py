@@ -1,4 +1,4 @@
-"""Reversible arithmetic netlists and the fixed-point factor they multiply by.
+"""Reversible arithmetic netlists: adders, doubling, multiplication, rounding.
 
 Four constructions, each with an exact closed-form core cost in
 CNOT-equivalents (NOT = CNOT = 1, Toffoli = 6):
@@ -28,46 +28,18 @@ reversible permutation, but they sit outside the core closed forms.  The
 final stage's doubling output is never consumed; it is kept so every stage
 prices identically.
 
-Interpolation rounds a fixed-point value with a 4-bit fraction to the nearest
-integer, ties upward: one CNOT copies the fraction's top bit into a zeroed
-register, and one adder adds it to the integer part.  The copy register ends
-holding that bit; it is a deterministic auxiliary output (cleared by the
-enclosing circuit's uncompute pass), not an ancilla, because clearing it
-locally would take one more CNOT than the closed form allows.
+Interpolation rounds a fixed-point value with ``shear.FRACTION_BITS``
+fraction bits, the shear factor's format, to the nearest integer, ties
+upward: one CNOT copies the fraction's top bit into a zeroed register, and
+one adder adds it to the integer part.  The copy register ends holding
+that bit; it is a deterministic auxiliary output (cleared by the enclosing
+circuit's uncompute pass), not an ancilla, because clearing it locally would
+take one more CNOT than the closed form allows.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .core import Netlist, NetlistBuilder, invert
-
-
-@dataclass(frozen=True)
-class FixedPointValue:
-    """An unsigned fixed-point number with exactly four fraction bits.
-
-    Held as a whole number of sixteenths: value = sixteenths / 16.  Any sign
-    is carried by the consumer (shear specs choose adder vs subtractor),
-    never here.
-    """
-
-    sixteenths: int
-
-    def __post_init__(self) -> None:
-        if self.sixteenths < 0:
-            raise ValueError("fixed-point value must be non-negative")
-
-    @classmethod
-    def quantize(cls, real: float) -> "FixedPointValue":
-        """Round a non-negative real to the nearest sixteenth, ties upward."""
-        if real < 0:
-            raise ValueError("quantize takes a magnitude; track sign separately")
-        scaled = real * 16
-        if math.isinf(scaled):
-            # only floats far above 2^53 get here, and those are whole numbers
-            return cls(int(real) * 16)
-        return cls(int(scaled + 0.5))
+from .shear import FRACTION_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +164,8 @@ def emit_interpolation(
     rnd: list[int],
     carry: list[int],
 ) -> None:
-    """integer <- integer + frac_top, i.e. round-half-up of a 4-bit fraction.
+    """integer <- integer + frac_top, i.e. round-half-up of the fraction
+    whose top bit is ``frac_top``.
 
     ``integer`` spans n value bits plus one carry-out wire; ``rnd`` is the
     zeroed n-bit register that receives the copied rounding bit.
@@ -245,15 +218,17 @@ def build_ctrl_multi(n: int, m: int) -> Netlist:
 
 
 def build_interpolation(n: int) -> Netlist:
-    """Round an n-bit integer with a 4-bit fraction to the nearest integer.
+    """Round an n-bit integer with a FRACTION_BITS-bit fraction to the
+    nearest integer.
 
     Registers: ``a`` (n value bits plus carry-out, receives the result),
-    ``frac`` (4 bits, preserved), ``rnd`` (ends holding the rounding bit).
+    ``frac`` (FRACTION_BITS bits, preserved), ``rnd`` (ends holding the
+    rounding bit).
     """
     nb = NetlistBuilder()
     a = nb.register("a", n + 1)
-    frac = nb.register("frac", 4)
+    frac = nb.register("frac", FRACTION_BITS)
     rnd = nb.register("rnd", n)
     carry = nb.register("carry", n, ancilla=True)
-    emit_interpolation(nb, a, frac[3], rnd, carry)
+    emit_interpolation(nb, a, frac[FRACTION_BITS - 1], rnd, carry)
     return nb.build()

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .arithmetic import build_adder, build_interpolation, build_self_adder
 from .core import core_and_overhead_cost
+from .shear import FRACTION_BITS, DomainError
 from .shear_netlists import build_uniform_horizontal_shear
 
 #: Kinds priced by a single width n.
@@ -88,7 +89,8 @@ def measure(kind: str, n: int, m: int | None = None) -> tuple[int, int]:
     """Build the netlist and return (measured core, overhead) counts.
 
     A grid kind is priced from its span of ``build_uniform_horizontal_shear(n,
-    m)``, the same path ``audit_report`` takes; m must be at least 4.
+    m)``, the same path ``audit_report`` takes; m must be at least
+    ``FRACTION_BITS``.
     """
     _check(kind, n, m)
     if kind in GRID_KINDS:
@@ -149,12 +151,26 @@ class GateCostReport:
         return "\n".join(lines)
 
 
+def _extent(values: Sequence[int]) -> str:
+    return f"{min(values)}..{max(values)}" if values else "empty"
+
+
 def audit_report(
     n_values: Sequence[int] = range(2, 7),
-    m_values: Sequence[int] = range(4, 9),
+    m_values: Sequence[int] = range(FRACTION_BITS, 9),
 ) -> GateCostReport:
     """Measure every construction over the requested size grid, building
-    one full uniform shear per (n, m) for all three grid kinds."""
+    one full uniform shear per (n, m) for all three grid kinds.
+
+    The one check of an audit grid: raises DomainError for an empty range,
+    an n below 1 or an m below FRACTION_BITS (the factor's fraction must
+    fit in its m bits).
+    """
+    if not n_values or not m_values or min(n_values) < 1 or min(m_values) < FRACTION_BITS:
+        raise DomainError(
+            f"audit needs non-empty ranges with n >= 1 and m >= {FRACTION_BITS}, "
+            f"got n {_extent(n_values)}, m {_extent(m_values)}"
+        )
     rows: list[AuditRow] = []
     for kind in WIDTH_KINDS:
         for n in n_values:

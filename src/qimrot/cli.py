@@ -26,6 +26,7 @@ from .neqr import ImageFormatError, NEQRImage, encode, decode
 from .oracle import agreement_fraction, ideal_rotate, oracle_rotate
 from .pgm import read_pgm, write_pgm
 from .shear import (
+    FRACTION_BITS,
     SEMANTIC,
     DomainError,
     PhaseBackend,
@@ -58,11 +59,12 @@ def _load_image(path: str) -> NEQRImage:
 
 @contextmanager
 def _output(path: str) -> Iterator[None]:
-    """Turn an OSError while writing ``path`` into exit 4."""
+    """Turn an OSError while writing ``path`` into exit 4.  The reason is
+    the error's bare text: the file it names may be the writer's temp file."""
     try:
         yield
     except OSError as exc:
-        raise _WriteFailure(f"cannot write {path}: {exc}") from exc
+        raise _WriteFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_raster(path: str, raster: np.ndarray, args: argparse.Namespace) -> None:
@@ -133,11 +135,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if not (1 <= args.n_min <= args.n_max and 4 <= args.m_min <= args.m_max):
-        raise DomainError(
-            "audit needs 1 <= n-min <= n-max and 4 <= m-min <= m-max, got "
-            f"n {args.n_min}..{args.n_max}, m {args.m_min}..{args.m_max}"
-        )
     report = audit_report(range(args.n_min, args.n_max + 1), range(args.m_min, args.m_max + 1))
     print(report.to_table())
     if args.report:
@@ -189,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     shear.add_argument("--axis", choices=["horizontal", "vertical"], required=True)
     factor_group = shear.add_mutually_exclusive_group(required=True)
     factor_group.add_argument("--factor", type=float,
-                              help="shear factor; quantized to 4 fraction bits, sign = direction")
+                              help=f"shear factor; quantized to {FRACTION_BITS} fraction bits, "
+                                   "sign = direction")
     factor_group.add_argument("--angle", type=float,
                               help="derive the factor from an angle: tan(angle/2) for "
                                    "horizontal, sin(angle) for vertical")
@@ -210,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--report", help="also write the table as CSV to this path")
     aud.add_argument("--n-min", type=int, default=2)
     aud.add_argument("--n-max", type=int, default=6)
-    aud.add_argument("--m-min", type=int, default=4)
+    aud.add_argument("--m-min", type=int, default=FRACTION_BITS)
     aud.add_argument("--m-max", type=int, default=8)
     aud.set_defaults(handler=_cmd_audit)
 

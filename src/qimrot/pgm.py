@@ -1,4 +1,8 @@
-"""PGM image input/output, P2 (ASCII) and P5 (binary), maxval 255 only."""
+"""PGM image input/output, P2 (ASCII) and P5 (binary), maxval 255 only.
+
+Every number in a PGM file, header and P2 sample alike, is ASCII decimal
+digits: no sign and no underscore, which Python's ``int`` would accept.
+"""
 from __future__ import annotations
 
 import os
@@ -50,10 +54,9 @@ def read_pgm(path: str) -> np.ndarray:
     if magic not in (b"P2", b"P5"):
         raise ImageFormatError(f"{path}: unsupported magic {magic!r}")
     tokens, offset = _header_tokens(data, 4)
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
+    if not all(t.isdigit() for t in tokens[1:]):
         raise ImageFormatError(f"{path}: malformed PGM header")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
@@ -69,16 +72,17 @@ def read_pgm(path: str) -> np.ndarray:
         raise ImageFormatError(
             f"{path}: expected {width * height} samples, got {len(values)}"
         )
-    try:
-        samples = [int(v) for v in values]
-    except ValueError:
-        raise ImageFormatError(f"{path}: non-numeric sample")
     outside = ImageFormatError(f"{path}: sample outside [0, {maxval}]")
+    if not b"".join(values).isdigit():
+        bad = next(v for v in values if not v.isdigit())
+        if bad[:1] == b"-" and bad[1:].isdigit() and bad[1:].strip(b"0"):
+            raise outside  # a negative number
+        raise ImageFormatError(f"{path}: non-decimal sample {bad.decode(errors='replace')!r}")
     try:
-        flat = np.array(samples, dtype=np.int64)
+        flat = np.array([int(v) for v in values], dtype=np.int64)
     except OverflowError:  # beyond int64, so beyond maxval too
         raise outside from None
-    if flat.size and (flat.min() < 0 or flat.max() > maxval):
+    if flat.max() > maxval:
         raise outside
     return flat.astype(np.uint8).reshape(height, width)
 

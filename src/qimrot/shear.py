@@ -11,9 +11,13 @@ the image centroid:
     left   (x < X_mid):  y -> y + round((X_mid - x) * q)
     right  (x >= X_mid): y -> y - round((x - X_mid) * q)
 
-q is the shear factor's magnitude quantized to four fraction bits
-(round-to-nearest, ties up); the factor's sign flips every direction above.
-Displacements round half-up, matching the interpolation circuit exactly.
+q is the shear factor's magnitude quantized to ``FRACTION_BITS`` fraction
+bits (round-to-nearest, ties up), a ``FixedPointValue``; the factor's sign
+flips every direction above.  Displacements round half-up, matching the
+interpolation circuit exactly.  ``FRACTION_BITS`` is the one statement of
+the factor's fixed-point format: the netlists' factor register and rounding
+bit, the audit's smallest factor width and ``line_steps``' rounding all
+derive from it.
 Applying the three shears forward with these factor signs realizes the
 factored inverse-rotation matrix, which rotates the displayed raster
 counter-clockwise for positive angles; forward per-half application keeps
@@ -49,11 +53,14 @@ from typing import Protocol
 
 import numpy as np
 
-from .arithmetic import FixedPointValue
 from .neqr import NEQRImage
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
+
+#: Fraction bits of the shear factor q: its whole number of steps of
+#: 2^-FRACTION_BITS is what the netlists' factor register holds.
+FRACTION_BITS = 4
 
 #: Side multiplier and origin shift of the expanded canvas, in units of
 #: 2^(n-1): side 8 * 2^(n-1) = 2^(n+2), origin offset 3 * 2^(n-1).
@@ -66,6 +73,33 @@ class DomainError(ValueError):
 
 class UnsupportedAngleError(DomainError):
     """Rotation angle outside the supported open interval (-90, 90)."""
+
+
+@dataclass(frozen=True)
+class FixedPointValue:
+    """An unsigned fixed-point number with FRACTION_BITS fraction bits.
+
+    Held as a whole number of steps of 2^-FRACTION_BITS, sixteenths at four
+    bits: value = sixteenths / 2^FRACTION_BITS.  Any sign is carried by the
+    consumer (shear specs choose adder vs subtractor), never here.
+    """
+
+    sixteenths: int
+
+    def __post_init__(self) -> None:
+        if self.sixteenths < 0:
+            raise ValueError("fixed-point value must be non-negative")
+
+    @classmethod
+    def quantize(cls, real: float) -> "FixedPointValue":
+        """Round a non-negative real to the nearest step, ties upward."""
+        if real < 0:
+            raise ValueError("quantize takes a magnitude; track sign separately")
+        scaled = real * (1 << FRACTION_BITS)
+        if math.isinf(scaled):
+            # only floats far above 2^53 get here, and those are whole numbers
+            return cls(int(real) << FRACTION_BITS)
+        return cls(int(scaled + 0.5))
 
 
 @dataclass(frozen=True)
@@ -146,15 +180,16 @@ def line_steps(lines: np.ndarray, spec: ShearSpec) -> np.ndarray:
     up, in the direction set by the half and the factor's sign.  Steps
     saturate at +-side: a shift of a whole side or more takes every in-frame
     term of the line off the frame either way, so saturating keeps clipping
-    exact.  Clamping q to 16 * (side + 1) first is exact for the same reason
-    (for an offset of 1 or more both displacements exceed the side; for
-    offset 0 both are 0), and keeps the product of an in-frame offset inside
-    int64 for frames up to 2^28.
+    exact.  Clamping q to side + 1 first is exact for the same reason (for
+    an offset of 1 or more both displacements exceed the side; for offset 0
+    both are 0), and keeps the product of an in-frame offset inside int64
+    for frames up to 2^28.
     """
     side = 1 << spec.n
     offset = lines - spec.median
-    q16 = min(spec.factor.sixteenths, 16 * (side + 1))
-    d = (np.abs(offset) * q16 + 8) // 16  # round half up, exact in sixteenths
+    steps = min(spec.factor.sixteenths, (side + 1) << FRACTION_BITS)
+    # round half up, exact in steps of 2^-FRACTION_BITS
+    d = (np.abs(offset) * steps + (1 << (FRACTION_BITS - 1))) >> FRACTION_BITS
     sign = spec.sign if spec.axis == HORIZONTAL else -spec.sign
     return sign * np.sign(offset) * np.minimum(d, side)
 

@@ -4,14 +4,16 @@ One emitter, ``_emit_half``, builds every half shear of both families:
 half dispatch, offset subtractor, controlled multiplier, rounding
 interpolation, coordinate update, uncomputation.  One layout,
 ``_working_registers``, sizes every working register from the multiplier's
-operand widths and the interpolation width.  The families differ only in
-the emitter's arguments: the multiplier's operand roles, the
-interpolation's integer wires, and the update's adder, addend and target.
+operand widths and the interpolation width, and slices the product's
+integer part, the wires the interpolation rounds into, once for both.  The
+families differ only in the emitter's arguments: the multiplier's operand
+roles, and the update's adder, addend and target.
 
 * Image netlists (``build_shear_netlist``), executed by ``--mode netlist``:
-  (n+3)-bit two's-complement coordinates, the 5-bit factor ``q`` (1 integer
-  + 4 fraction bits) multiplying the offset, and a carry-free modular adder
-  adding the rounded integer to the moved coordinate.  ``run_shear_phase``
+  (n+3)-bit two's-complement coordinates, the factor ``q`` (1 integer bit
+  + ``shear.FRACTION_BITS`` fraction bits) multiplying the offset, and a
+  carry-free modular adder adding the rounded integer to the moved
+  coordinate.  ``run_shear_phase``
   takes and returns ``neqr.Terms`` columns and runs the netlist once per
   phase, one bit-sliced lane per term (``core.execute_lanes``);
   ``NetlistBackend`` runs it inside ``shear.rotate``/``shear.apply_shear`` on
@@ -50,7 +52,7 @@ from .arithmetic import (
 )
 from .core import Netlist, NetlistBuilder, execute_lanes
 from .neqr import NEQRImage, Terms, paint
-from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
+from .shear import FRACTION_BITS, HORIZONTAL, VERTICAL, DomainError, ShearSpec
 
 #: The largest frame exponent netlist mode runs: 2^9, the paper's 512x512 on
 #: the clip canvas (128x128 images on the expand canvas's 4x frame).  A phase
@@ -59,13 +61,13 @@ from .shear import HORIZONTAL, VERTICAL, DomainError, ShearSpec
 MAX_NETLIST_EXPONENT = 9
 
 #: Guard bits + sign added to coordinate registers.  The factor register
-#: bounds the displacement, |d| <= round(2^(n-1) * 31/16) <= 2^n, so an
-#: in-frame coordinate lands in [-2^n, 2^(n+1)), inside the
+#: holds q < 2 and bounds the displacement, |d| <= round(2^(n-1) * q) <=
+#: 2^n, so an in-frame coordinate lands in [-2^n, 2^(n+1)), inside the
 #: [-2^(n+2), 2^(n+2)) window this provides.
 COORD_EXTRA_BITS = 3
 
-#: 1 integer bit + 4 fraction bits: factors up to 31/16 (1.9375).
-_FACTOR_BITS = 5
+#: 1 integer bit + the fraction bits: factors below 2 (31/16 at four bits).
+_FACTOR_BITS = 1 + FRACTION_BITS
 
 
 class NetlistModeError(DomainError):
@@ -76,7 +78,10 @@ def _working_registers(
     nb: NetlistBuilder, regs: dict, multiplier_bits: int, multiplicand_bits: int, rnd_bits: int
 ) -> None:
     """Declare a half shear's working registers into ``regs``, every width
-    derived from the multiplier's operand widths and the interpolation's."""
+    derived from the multiplier's operand widths and the interpolation's.
+    ``regs["integer"]`` is what the interpolation rounds into: the
+    product's ``rnd_bits`` wires above its fraction bits, plus a carry-out
+    wire."""
     product = multiplier_bits + multiplicand_bits
     widths = {"ctrl": 1, "p": product, "t": 1, "mask": product - 1, "carry": product - 1,
               "rnd": rnd_bits, "ipc": 1}
@@ -84,6 +89,7 @@ def _working_registers(
         regs[name] = nb.register(name, width, ancilla=True)
     regs["dbls"] = [nb.register(f"dbl{i}", multiplicand_bits + i, ancilla=True)
                     for i in range(1, multiplier_bits + 1)]
+    regs["integer"] = regs["p"][FRACTION_BITS : FRACTION_BITS + rnd_bits] + regs["ipc"]
 
 
 def _emit_half(
@@ -92,17 +98,16 @@ def _emit_half(
     driver: list[int],
     low_half: bool,
     operands: Callable[[list[int]], tuple[list[int], list[int]]],
-    integer: list[int],
     update: tuple[Callable, list[int], list[int]],
     subtract: bool,
 ) -> None:
     """One half shear over a 2^n frame, n + 1 being the width of ``med``.
 
     ``operands`` maps the offset register to the multiplier's (multiplier,
-    multiplicand); ``integer`` is the interpolation's value bits plus its
-    carry-out wire; ``update`` is (adder, addend, target), the adder applied
-    backwards when ``subtract`` is set.  The half is recorded as a ``half``
-    span and its multiplier as a ``multiply`` span.
+    multiplicand); ``update`` is (adder, addend, target), the adder applied
+    backwards when ``subtract`` is set.  The product is rounded into
+    ``regs["integer"]`` by its top fraction bit.  The half is recorded as a
+    ``half`` span and its multiplier as a ``multiply`` span.
     """
     med, ctrl, carry = regs["med"], regs["ctrl"][0], regs["carry"]
     n = len(med) - 1
@@ -121,7 +126,7 @@ def _emit_half(
         p, t = regs["p"], regs["t"][0]
         with nb.span("multiply"):
             emit_ctrl_multi(nb, multiplier, multiplicand, ctrl, p, t, regs["mask"], carry, regs["dbls"])
-        emit_interpolation(nb, integer, p[3], regs["rnd"], carry)
+        emit_interpolation(nb, regs["integer"], p[FRACTION_BITS - 1], regs["rnd"], carry)
         stop = nb.mark()
 
         adder, addend, target = update
@@ -139,8 +144,8 @@ def build_shear_netlist(n: int, axis: str, sign: int, order: str = "tb") -> Netl
     """Both half shears of one axis over a 2^n frame, ready for execution.
 
     Registers ``y`` and ``x`` are (n+3)-bit two's-complement coordinates,
-    ``q`` the 5-bit factor in sixteenths, ``med`` the preloaded median
-    2^(n-1).  Everything else is working space restored to zero.
+    ``q`` the factor in steps of 2^-FRACTION_BITS, ``med`` the preloaded
+    median 2^(n-1).  Everything else is working space restored to zero.
     """
     if n < 1:
         raise ValueError("frame exponent must be at least 1")
@@ -162,12 +167,11 @@ def build_shear_netlist(n: int, axis: str, sign: int, order: str = "tb") -> Netl
     _working_registers(nb, regs, _FACTOR_BITS, n + 1, n + 2)
     horizontal = axis == HORIZONTAL
     driver, moved = (regs["y"], regs["x"]) if horizontal else (regs["x"], regs["y"])
-    integer = regs["p"][4:] + regs["ipc"]
-    update = (emit_modular_adder, integer, moved)
+    update = (emit_modular_adder, regs["integer"], moved)
     for low_half in (order == "tb", order == "bt"):
         # coordinate update: subtract for (top, +) / (right, +), add otherwise
         subtract = (sign > 0) == (low_half == horizontal)
-        _emit_half(nb, regs, driver, low_half, lambda off: (regs["q"], off), integer, update, subtract)
+        _emit_half(nb, regs, driver, low_half, lambda off: (regs["q"], off), update, subtract)
     return nb.build()
 
 
@@ -219,9 +223,10 @@ class NetlistBackend:
                 "image's side); use semantic mode for larger images"
             )
         if spec.factor.sixteenths >= 1 << _FACTOR_BITS:
+            one = 1 << FRACTION_BITS
             raise NetlistModeError(
-                f"netlist mode holds factors up to {(1 << _FACTOR_BITS) - 1}/16 "
-                f"(got {spec.factor.sixteenths}/16); use semantic mode"
+                f"netlist mode holds factors up to {(1 << _FACTOR_BITS) - 1}/{one} "
+                f"(got {spec.factor.sixteenths}/{one}); use semantic mode"
             )
 
     def run(self, image: NEQRImage, offset: int, phases: list[ShearSpec]) -> Iterator[np.ndarray]:
@@ -239,8 +244,10 @@ class NetlistBackend:
 
 
 def _uniform_shear(n: int, m: int, halves: tuple[bool, ...]) -> Netlist:
-    if m < 4:
-        raise ValueError("factor width must cover the 4 fraction bits (m >= 4)")
+    if m < FRACTION_BITS:
+        raise ValueError(
+            f"factor width must cover the {FRACTION_BITS} fraction bits (m >= {FRACTION_BITS})"
+        )
     nb = NetlistBuilder()
     regs = {
         "y": nb.register("y", n + 1),
@@ -250,10 +257,9 @@ def _uniform_shear(n: int, m: int, halves: tuple[bool, ...]) -> Netlist:
     }
     # the offset's low n bits times fac, rounded to an n-bit integer
     _working_registers(nb, regs, n, m, n)
-    integer, fac = regs["p"][4 : 4 + n] + regs["ipc"], regs["fac"]
-    update = (emit_adder, integer[:n], regs["x"])  # subtracted on the low half
+    update = (emit_adder, regs["integer"][:n], regs["x"])  # subtracted on the low half
     for low_half in halves:
-        _emit_half(nb, regs, regs["y"], low_half, lambda off: (off[:n], fac), integer, update, low_half)
+        _emit_half(nb, regs, regs["y"], low_half, lambda off: (off[:n], regs["fac"]), update, low_half)
     return nb.build()
 
 

@@ -4,9 +4,8 @@ import math
 
 import numpy as np
 
-from qimrot.arithmetic import FixedPointValue
 from qimrot.oracle import oracle_shear
-from qimrot.shear import HORIZONTAL, VERTICAL, ShearSpec, expanded_canvas_params
+from qimrot.shear import HORIZONTAL, VERTICAL, FixedPointValue, ShearSpec, expanded_canvas_params
 
 
 def gradient(side: int) -> np.ndarray:

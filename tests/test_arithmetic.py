@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qimrot.arithmetic import (
-    FixedPointValue,
     build_adder,
     build_ctrl_multi,
     build_interpolation,
@@ -13,6 +12,7 @@ from qimrot.arithmetic import (
     build_subtractor,
 )
 from qimrot.core import cost
+from qimrot.shear import FixedPointValue
 
 from basis_states import assert_ancillas_clean, run
 

@@ -315,7 +315,9 @@ class TestErrorExits:
         out = tmp_path / "missing" / "out.pgm"
         assert invoke(["rotate", "--input", image_file, "--output", str(out),
                        "--angle", "30", "--emit-intermediates"]) == EXIT_WRITE
-        assert f"cannot write {out}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err
+        assert ".pgm.tmp" not in err  # the writer's temp file is not the user's path
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
     def test_audit_report_into_missing_directory(self, tmp_path, capsys):

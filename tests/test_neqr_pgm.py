@@ -152,6 +152,21 @@ class TestPgm:
         with pytest.raises(ImageFormatError, match=r"sample outside \[0, 255\]"):
             read_pgm(str(path))
 
+    @pytest.mark.parametrize("sample", ["1_0", "+5", "-0"])
+    def test_rejects_non_decimal_sample(self, tmp_path, sample):
+        # Python's int() reads these as 10, 5 and 0; a Netpbm number is digits only
+        path = tmp_path / "s.pgm"
+        path.write_text(f"P2\n2 1\n255\n0 {sample}\n")
+        with pytest.raises(ImageFormatError, match="non-decimal sample"):
+            read_pgm(str(path))
+
+    @pytest.mark.parametrize("header", ["+2 2 255", "2 0_2 255", "2 2 2_55", "2 -0 255"])
+    def test_rejects_non_decimal_header(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(f"P5\n{header}\n".encode() + bytes(4))
+        with pytest.raises(ImageFormatError, match="malformed PGM header"):
+            read_pgm(str(path))
+
     def test_non_power_of_two_file_rejected_at_encode(self, tmp_path):
         path = str(tmp_path / "odd.pgm")
         write_pgm(path, np.zeros((3, 3), dtype=np.uint8))

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,19 @@ from qimrot.shear import (
 from qimrot.shear_netlists import NetlistBackend
 
 from rasters import framed_raster, oracle_chain, random_raster, row_bands, spec_for
+
+
+def test_semantic_layer_loads_no_gate_layer():
+    # in a fresh interpreter, since this one has loaded every module: the
+    # package, the semantic engine and the oracle run without the gate layer
+    src = str(Path(shear.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, qimrot, qimrot.shear, qimrot.oracle; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=300).stdout.split()
+    assert "qimrot.shear" in loaded
+    assert not {"qimrot.core", "qimrot.arithmetic", "qimrot.shear_netlists"} & set(loaded)
 
 
 def assert_rotation_round_trip(raster, theta, backend):
