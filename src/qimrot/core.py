@@ -14,9 +14,10 @@ complement ``~wire``, and a missing control is ``None``, so the gate's kind
 is its number of controls.  Building, walking and pricing a netlist make no
 Python object per gate.  ``Netlist.gates`` makes plain named tuples
 ``Gate(kind, target, controls, overhead)`` from the columns on first read;
-only the tests and the benchmark's tracer read them.  Gates are checked where
-they are made: each ``NetlistBuilder`` method checks the gate it emits, and a
-``Netlist`` checks every wire against its table.
+only the tests and the benchmark's tracer read them.  A gate is checked once,
+where it is made: each ``NetlistBuilder`` method checks the gate it emits,
+wires against the table included.  A ``Netlist`` checks only its register,
+ancilla and span tables.
 
 One executor.  ``execute_lanes`` runs many basis states at once,
 bit-sliced, straight from the columns: wire ``i`` is one int whose bit ``j``
@@ -69,8 +70,9 @@ def _control(signed: int) -> tuple[int, int]:
     return (signed, 1) if signed >= 0 else (~signed, 0)
 
 
-def _refuse(target: int, controls: tuple[tuple[int, int], ...]) -> None:
-    """Raise for a gate that a builder method's quick check turned down."""
+def _refuse(target: int, controls: tuple[tuple[int, int], ...], wires: int) -> None:
+    """Raise for a gate that a builder method's quick check turned down;
+    ``wires`` is the number of wires declared so far."""
     for wire, polarity in controls:
         if polarity not in (0, 1):
             raise CircuitStructureError(f"bad control polarity {polarity!r}")
@@ -78,7 +80,12 @@ def _refuse(target: int, controls: tuple[tuple[int, int], ...]) -> None:
             raise CircuitStructureError(f"wire {wire} is both control and target")
     # a column would read a negative wire as a complemented control
     wire = min((target, *(wire for wire, _ in controls)))
-    raise CircuitStructureError(f"wire {wire} is negative")
+    if wire < 0:
+        raise CircuitStructureError(f"wire {wire} is negative")
+    if target >= wires:
+        raise CircuitStructureError(f"gate target {target} outside wire table")
+    wire = next(wire for wire, _ in controls if wire >= wires)
+    raise CircuitStructureError(f"gate control {wire} outside wire table")
 
 
 class Netlist:
@@ -91,6 +98,10 @@ class Netlist:
     zero; builders uphold that contract and tests verify it.  ``spans`` maps a
     name to the ``(start, stop)`` gate ranges recorded under it, in the order
     they closed.  Spans are metadata: equality ignores them.
+
+    ``NetlistBuilder.build`` and ``invert`` make netlists.  The builder has
+    checked every gate as it emitted it, so the netlist trusts its columns and
+    checks only its tables: register wires, ancilla names and span ranges.
     """
 
     def __init__(
@@ -110,16 +121,6 @@ class Netlist:
 
     def _validate(self) -> None:
         n = len(self.labels)
-        targets, firsts, seconds, _ = self.columns
-        if targets and not (0 <= min(targets) and max(targets) < n):
-            wire = next(wire for wire in targets if not 0 <= wire < n)
-            raise CircuitStructureError(f"gate target {wire} outside wire table")
-        # wire w reads as w on |1> and ~w on |0>: in the table exactly when in [-n, n)
-        for column in (firsts, seconds):
-            signed = [c for c in column if c is not None]
-            if signed and not (-n <= min(signed) and max(signed) < n):
-                wire = next(_control(c)[0] for c in signed if not -n <= c < n)
-                raise CircuitStructureError(f"gate control {wire} outside wire table")
         for name, ids in self.registers.items():
             for wire in ids:
                 if not 0 <= wire < n:
@@ -129,7 +130,7 @@ class Netlist:
                 raise CircuitStructureError(f"ancilla register {name!r} not in table")
         for name, ranges in self.spans.items():
             for start, stop in ranges:
-                if not 0 <= start <= stop <= len(targets):
+                if not 0 <= start <= stop <= len(self.columns[0]):
                     raise CircuitStructureError(f"span {name!r} ({start}, {stop}) outside the gates")
 
     def __eq__(self, other: object) -> bool:
@@ -195,8 +196,15 @@ def execute_lanes(
     int that every lane starts from; unnamed registers start at zero.
     Returns each register of ``outputs`` (at most 63 wires wide) as an int64
     column.  Lane ``i`` ends exactly where a gate-by-gate walk of lane
-    ``i``'s state alone takes it.
+    ``i``'s state alone takes it.  Inputs and outputs are checked before the
+    first gate runs.
     """
+    gathered = {name: netlist._fitting_wires(name) for name in outputs}
+    for name, ids in gathered.items():
+        if len(ids) > 63:
+            raise ValueError(
+                f"output register {name!r} is {len(ids)} wires wide; an int64 column holds 63"
+            )
     everyone = (1 << lanes) - 1
     nbytes = (lanes + 7) // 8
     wires = [0] * netlist.num_wires
@@ -226,8 +234,7 @@ def execute_lanes(
         if fire:
             wires[target] ^= fire
     columns = {}
-    for name in outputs:
-        ids = netlist.registers[name]
+    for name, ids in gathered.items():
         # gather in the narrowest dtype that holds the register: fewer bytes per pass
         narrow = np.min_scalar_type((1 << len(ids)) - 1)
         column = np.zeros(lanes, dtype=narrow)
@@ -288,6 +295,7 @@ class NetlistBuilder:
 
     def __init__(self) -> None:
         self._labels: list[str] = []
+        self._wires = 0  # len(self._labels), read by every gate's check
         # target, first control, second control, overhead flag
         self._columns: tuple[list, list, list, list] = ([], [], [], [])
         self._registers: dict[str, tuple[int, ...]] = {}
@@ -300,9 +308,10 @@ class NetlistBuilder:
             raise CircuitStructureError(f"register {name!r} already declared")
         if width < 1:
             raise ValueError(f"register width must be positive, got {width}")
-        start = len(self._labels)
+        start = self._wires
         ids = list(range(start, start + width))
         self._labels.extend(f"{name}[{k}]" for k in range(width))
+        self._wires += width
         self._registers[name] = tuple(ids)
         if ancilla:
             self._ancillas.add(name)
@@ -328,7 +337,8 @@ class NetlistBuilder:
         self._spans.setdefault(name, []).append((start, self.mark()))
 
     # Each method fixes its gate's kind and arity, so only the wires and
-    # polarities need checking; a failure goes through _refuse for its message.
+    # polarities need checking: every wire lies in [0, wires declared so far).
+    # A failure goes through _refuse for its message.
 
     def _emit(self, target: int, first: int | None, second: int | None) -> None:
         targets, firsts, seconds, flags = self._columns
@@ -338,19 +348,21 @@ class NetlistBuilder:
         flags.append(self._overhead_depth > 0)
 
     def x(self, target: int) -> None:
-        if target < 0:
-            _refuse(target, ())
+        if not 0 <= target < self._wires:
+            _refuse(target, (), self._wires)
         self._emit(target, None, None)
 
     def cx(self, control: int, target: int, on: int = 1) -> None:
-        if control == target or on not in (0, 1) or control < 0 or target < 0:
-            _refuse(target, ((control, on),))
+        n = self._wires
+        if control == target or on not in (0, 1) or not (0 <= control < n and 0 <= target < n):
+            _refuse(target, ((control, on),), n)
         self._emit(target, control if on else ~control, None)
 
     def ccx(self, c1: int, c2: int, target: int, on1: int = 1, on2: int = 1) -> None:
+        n = self._wires
         if (target == c1 or target == c2 or on1 not in (0, 1) or on2 not in (0, 1)
-                or c1 < 0 or c2 < 0 or target < 0):
-            _refuse(target, ((c1, on1), (c2, on2)))
+                or not (0 <= c1 < n and 0 <= c2 < n and 0 <= target < n)):
+            _refuse(target, ((c1, on1), (c2, on2)), n)
         self._emit(target, c1 if on1 else ~c1, c2 if on2 else ~c2)
 
     def mark(self) -> int:

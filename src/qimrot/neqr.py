@@ -64,9 +64,10 @@ class NEQRImage:
         if side < 1 or side & (side - 1):
             raise ImageFormatError(f"side must be a power of two, got {side}")
         if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == arr.astype(np.int64)):
+            # checked as floats, before any int cast: NaN, inf and |v| >= 2^63 warn in one
+            arr = arr.astype(np.float64, copy=False)
+            if not np.all(np.isfinite(arr) & (np.trunc(arr) == arr)):
                 raise ImageFormatError("pixel values must be integers")
-            arr = arr.astype(np.int64)
         if arr.size and (arr.min() < 0 or arr.max() > 255):
             raise ImageFormatError("pixel values must lie in [0, 255]")
         self._hold(arr.astype(np.uint8))

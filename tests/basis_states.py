@@ -6,9 +6,11 @@ wire ``i``, and walks ``Netlist.gates`` one gate at a time.  ``state`` and
 again, bit by bit, so that ``execute_lanes`` can be checked against a path
 that shares none of its packing; ``assert_ancillas_clean`` checks ``run``'s
 outputs.  ``dump_netlist`` is the text the netlist digests hash, and
-``netlist_of_gates`` builds a netlist's columns from hand-made gates.
+``netlist_of_gates`` emits hand-made gates through ``NetlistBuilder``.
 """
-from qimrot.core import CircuitStructureError, Netlist
+from contextlib import nullcontext
+
+from qimrot.core import CircuitStructureError, Netlist, NetlistBuilder
 
 _COMPILED = "_reference_masks"  # where compiled() keeps its masks on a netlist
 
@@ -93,15 +95,25 @@ def dump_netlist(netlist: Netlist) -> str:
 
 
 def netlist_of_gates(labels, gates, registers, ancillas=frozenset()) -> Netlist:
-    """A netlist from ``Gate`` tuples: each goes into the four columns, its
-    controls stored as the wire on |1> and the complement ``~wire`` on |0>."""
-    columns = ([], [], [], [])
+    """A netlist from ``Gate`` tuples, emitted through ``NetlistBuilder``, the
+    one maker of netlists, so each gate meets the builder's check.  The
+    registers are declared in wire order and must give back ``labels``."""
+    nb = NetlistBuilder()
+    for name, ids in sorted(registers.items(), key=lambda item: item[1][0]):
+        nb.register(name, len(ids), ancilla=name in ancillas)
     for _, target, controls, overhead in gates:
-        signed = [None, None]
-        for k, (wire, on) in enumerate(controls):
-            if wire < 0:  # its complement would read as a control on |0>
+        for wire, _ in controls:
+            if wire < 0:  # the builder names it negative; here it is outside the table
                 raise CircuitStructureError(f"gate control {wire} outside wire table")
-            signed[k] = wire if on else ~wire
-        for column, value in zip(columns, (target, *signed, overhead)):
-            column.append(value)
-    return Netlist(labels, columns, registers, ancillas)
+        with nb.overhead() if overhead else nullcontext():
+            if len(controls) == 0:
+                nb.x(target)
+            elif len(controls) == 1:
+                (wire, on), = controls
+                nb.cx(wire, target, on=on)
+            else:
+                (c1, on1), (c2, on2) = controls
+                nb.ccx(c1, c2, target, on1=on1, on2=on2)
+    netlist = nb.build()
+    assert netlist.labels == tuple(labels) and netlist.registers == dict(registers)
+    return netlist

@@ -154,6 +154,14 @@ class TestStructuralErrors:
             netlist_of_gates(("w[0]", "w[1]", "w[2]"), (Gate("CNOT", 0, (control,)),),
                              {"w": (0, 1, 2)})
 
+    def test_register_wire_outside_table(self):
+        with pytest.raises(CircuitStructureError, match="^register 'r' references wire 9$"):
+            Netlist(("w[0]",), ((), (), (), ()), {"w": (0,), "r": (9,)})
+
+    def test_ancilla_not_in_table(self):
+        with pytest.raises(CircuitStructureError, match="^ancilla register 'z' not in table$"):
+            Netlist(("w[0]",), ((), (), (), ()), {"w": (0,)}, ancillas={"z"})
+
     def test_state_width_mismatch(self):
         nl = single_not_netlist()
         for state in (2, -1):  # a bit beyond the one wire; no two's-complement states
@@ -187,10 +195,22 @@ class TestBuilderChecks:
         (lambda nb: nb.cx(1, 1, on=2), "bad control polarity 2"),
         (lambda nb: nb.ccx(1, 0, 1, on2=2), "wire 1 is both control and target"),
         (lambda nb: nb.cx(-1, -1), "wire -1 is both control and target"),
+        # a wire at or above the wires declared so far (three here)
+        (lambda nb: nb.x(3), "gate target 3 outside wire table"),
+        (lambda nb: nb.cx(3, 0), "gate control 3 outside wire table"),
+        (lambda nb: nb.cx(0, 3), "gate target 3 outside wire table"),
+        (lambda nb: nb.ccx(0, 3, 1), "gate control 3 outside wire table"),
+        (lambda nb: nb.ccx(0, 1, 3), "gate target 3 outside wire table"),
+        (lambda nb: nb.ccx(3, 0, 1, on1=0), "gate control 3 outside wire table"),
+        # the target is named before a control, and a negative wire before either
+        (lambda nb: nb.cx(4, 3), "gate target 3 outside wire table"),
+        (lambda nb: nb.cx(-1, 3), "wire -1 is negative"),
     ], ids=["cx-onto-its-control", "ccx-onto-c2", "ccx-onto-c1", "cx-on-2", "ccx-on1-minus-1",
             "ccx-on2-2", "cx-control-minus-1", "ccx-c2-minus-2", "ccx-c1-minus-3-on-0",
             "cx-target-minus-1", "x-minus-1", "cx-on-2-onto-its-control",
-            "ccx-onto-c1-then-on2-2", "cx-minus-1-onto-itself"])
+            "ccx-onto-c1-then-on2-2", "cx-minus-1-onto-itself", "x-3", "cx-control-3",
+            "cx-target-3", "ccx-c2-3", "ccx-target-3", "ccx-c1-3-on-0", "cx-4-onto-3",
+            "cx-minus-1-onto-3"])
     def test_bad_gate_is_refused(self, emit, message):
         nb = NetlistBuilder()
         nb.register("w", 3)
@@ -434,6 +454,18 @@ class TestLaneInputErrors:
     def test_unknown_register(self):
         with pytest.raises(CircuitStructureError, match="no register named 'z'"):
             execute_lanes(build_adder(2), 1, {"z": 0}, ["b"])
+
+    def test_unknown_output_register(self):
+        with pytest.raises(CircuitStructureError, match="no register named 'z'"):
+            execute_lanes(build_adder(2), 1, {"a": 1}, ["b", "z"])
+
+    @pytest.mark.parametrize("width", [64, 70])
+    def test_output_register_wider_than_63_wires(self, width):
+        nb = NetlistBuilder()
+        nb.register("w", width)
+        nb.x(width - 1)
+        with pytest.raises(ValueError, match=f"^output register 'w' is {width} wires wide"):
+            execute_lanes(nb.build(), 2, {}, ["w"])
 
     def test_column_length_must_match_lanes(self):
         with pytest.raises(ValueError, match="column of 4 lanes"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,19 @@ class TestCodec:
             encode(np.array([[0, 300], [0, 0]]))
         with pytest.raises(ImageFormatError):
             encode(np.array([[-1, 0], [0, 0]]))
+        # a float raster is checked before any int cast, which would warn
+        cases = [(2.5, "must be integers"), (-0.5, "must be integers"),
+                 (float("nan"), "must be integers"), (float("inf"), "must be integers"),
+                 (-float("inf"), "must be integers"), (300.0, r"must lie in \[0, 255\]"),
+                 (-1.0, r"must lie in \[0, 255\]"), (2.0**63, r"must lie in \[0, 255\]"),
+                 (1e30, r"must lie in \[0, 255\]")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value, message in cases:
+                with pytest.raises(ImageFormatError, match=f"^pixel values {message}$"):
+                    encode(np.array([[0.0, value], [0.0, 0.0]]))
+            for whole in ([[0.0, 255.0], [1.0, 2.0]], np.array([[0, 255], [1, 2]], dtype=object)):
+                assert np.array_equal(decode(encode(np.array(whole))), [[0, 255], [1, 2]])
 
     def test_from_terms_clips(self):
         img = NEQRImage.from_terms(1, make_terms([0, 0, -1], [0, 5, 1], [9, 7, 8]))

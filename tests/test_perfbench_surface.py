@@ -3,6 +3,8 @@ names its harness and tracer bind in the modules, and the argv of every op its
 workloads build."""
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -81,6 +83,22 @@ def test_harness_calls_and_cache_reset(tmp_path):
                                           "--report", str(tmp_path / "audit.csv")])
     assert cli.config_from_args(args) is args
     assert cli.run(args) == 0
+
+
+def test_cli_import_loads_the_netlist_cache():
+    """``Program`` takes ``build_shear_netlist.cache_clear`` from ``sys.modules``
+    right after ``import qimrot.cli``; were the gate layer not loaded by then,
+    the per-op cache reset would do nothing.  Checked in a fresh interpreter,
+    since this one has loaded every module."""
+    src = str(Path(qimrot.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, qimrot, qimrot.cli; netlists = sys.modules.get('qimrot.shear_netlists'); "
+            "print(callable(getattr(getattr(netlists, 'build_shear_netlist', None), "
+            "'cache_clear', None)))")
+    found = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, check=True, timeout=300).stdout.split()
+    assert found == ["True"]
 
 
 def test_replayed_specs_and_frames():
