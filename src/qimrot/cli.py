@@ -90,13 +90,13 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
                 raise DomainError(f"{option} needs shear phases; an exact turn has none")
     image = _load_image(args.input)
     if args.exact_turn is not None:
-        _write_raster(args.output, decode(exact_turn(image, args.exact_turn)), args)
+        _write_raster(args.output, exact_turn(image, args.exact_turn).pixels, args)
         return EXIT_OK
     result = rotate(image, RotationSpec(args.angle), args.canvas, _backend(args))
-    _write_raster(args.output, decode(result.final), args)
+    _write_raster(args.output, result.final.pixels, args)
     if args.emit_intermediates:
-        _write_raster(_intermediate_path(args.output, 1), decode(result.phase1), args)
-        _write_raster(_intermediate_path(args.output, 2), decode(result.phase2), args)
+        _write_raster(_intermediate_path(args.output, 1), result.phase1.pixels, args)
+        _write_raster(_intermediate_path(args.output, 2), result.phase2.pixels, args)
     return EXIT_OK
 
 
@@ -107,7 +107,7 @@ def _cmd_shear(args: argparse.Namespace) -> int:
     else:
         spec = ShearSpec.for_angle(args.axis, args.angle, image.n)
     sheared = apply_shear(image, spec, args.canvas, _backend(args))
-    _write_raster(args.output, decode(sheared), args)
+    _write_raster(args.output, sheared.pixels, args)
     return EXIT_OK
 
 

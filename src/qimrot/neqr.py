@@ -6,7 +6,9 @@ operation in this package permutes basis states, the uniform 1/2^n amplitude
 is a constant global factor and is never materialised; the codec is an exact
 bijection between rasters and term sets.  ``Terms`` holds a term set as
 three columns, so a transform moves all terms at once; it is the only term
-representation.  ``paint`` is the one scatter of terms onto a raster.
+representation.  ``paint`` is the one scatter of terms onto a raster, and
+``check_pixel_values`` the one check of a raster's values, which
+``pgm.write_pgm`` shares.
 """
 from __future__ import annotations
 
@@ -15,6 +17,36 @@ import numpy as np
 
 class ImageFormatError(ValueError):
     """Raster or image file violates the format contract."""
+
+
+def check_pixel_values(arr: np.ndarray) -> None:
+    """Raise ImageFormatError unless every value of ``arr`` is a whole number
+    in [0, 255], so that its uint8 cast is exact.
+
+    A uint8 array is in range by its dtype and is not scanned.  Floats are
+    checked before any int cast (NaN, inf and |v| >= 2^63 warn in one), and
+    an object array as the floats its elements convert to.  Any other dtype,
+    complex above all, is refused before any cast: the cast would drop the
+    imaginary part of ``4+1j`` with only a warning.
+    """
+    if arr.dtype == np.uint8:
+        return
+    if arr.dtype.kind == "O":
+        # a numpy complex element would cast with only a warning
+        if any(isinstance(v, (complex, np.complexfloating)) for v in arr.flat):
+            raise ImageFormatError("pixel values must be integers")
+        try:
+            arr = arr.astype(np.float64)
+        except (TypeError, ValueError):  # a text or nested element
+            raise ImageFormatError("pixel values must be integers") from None
+        except OverflowError:  # an int beyond float64
+            raise ImageFormatError("pixel values must lie in [0, 255]") from None
+    if arr.dtype.kind not in "biuf":
+        raise ImageFormatError("pixel values must be integers")
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (np.trunc(arr) == arr)):
+        raise ImageFormatError("pixel values must be integers")
+    if arr.size and (arr.min() < 0 or arr.max() > 255):
+        raise ImageFormatError("pixel values must lie in [0, 255]")
 
 
 class Terms:
@@ -63,14 +95,8 @@ class NEQRImage:
         side = arr.shape[0]
         if side < 1 or side & (side - 1):
             raise ImageFormatError(f"side must be a power of two, got {side}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            # checked as floats, before any int cast: NaN, inf and |v| >= 2^63 warn in one
-            arr = arr.astype(np.float64, copy=False)
-            if not np.all(np.isfinite(arr) & (np.trunc(arr) == arr)):
-                raise ImageFormatError("pixel values must be integers")
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise ImageFormatError("pixel values must lie in [0, 255]")
-        self._hold(arr.astype(np.uint8))
+        check_pixel_values(arr)
+        self._hold(arr.astype(np.uint8, order="C"))
 
     def _hold(self, raster: np.ndarray) -> None:
         """Keep ``raster``, a valid uint8 raster no one else holds, read-only."""

@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from .neqr import ImageFormatError
+from .neqr import ImageFormatError, check_pixel_values
 
 _WHITESPACE = b" \t\r\n\v\f"
 
@@ -88,14 +88,16 @@ def read_pgm(path: str) -> np.ndarray:
 
 
 def write_pgm(path: str, raster: np.ndarray, binary: bool = True) -> None:
-    """Write a uint8 raster as P5 (default) or P2, atomically (temp + rename)."""
+    """Write a raster as P5 (default) or P2, atomically (temp + rename).
+
+    Its values pass ``neqr.check_pixel_values`` before any file is made; a
+    C-ordered uint8 raster is written from its own buffer, not copied.
+    """
     arr = np.asarray(raster)
     if arr.ndim != 2:
         raise ImageFormatError("raster must be 2D")
-    if arr.dtype != np.uint8:
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise ImageFormatError("pixel values must lie in [0, 255]")
-        arr = arr.astype(np.uint8)
+    check_pixel_values(arr)
+    arr = arr.astype(np.uint8, copy=False)
     height, width = arr.shape
     if binary:
         header = f"P5\n{width} {height}\n255\n".encode()

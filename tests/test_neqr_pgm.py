@@ -187,3 +187,47 @@ class TestPgm:
         write_pgm(path, np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(ImageFormatError):
             encode(read_pgm(path))
+
+
+class TestPixelValueCheck:
+    """``encode`` and ``write_pgm`` share one check of a raster's values."""
+
+    @pytest.mark.parametrize("raster", [np.array([[1, 2], [3, 4 + 1j]]),
+                                        np.array([[1, 2], [3, 4 + 1j]], dtype=object),
+                                        np.array([[1, 2], [3, np.complex128(4 + 1j)]], dtype=object),
+                                        np.array([[1, 2], [3, 4]], dtype=np.complex64)],
+                             ids=["complex128", "object-complex", "object-numpy-complex",
+                                  "complex64-whole"])
+    def test_complex_raster_is_refused_by_both(self, tmp_path, raster):
+        path = tmp_path / "c.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImageFormatError, match="^pixel values must be integers$"):
+                encode(raster)
+            with pytest.raises(ImageFormatError, match="^pixel values must be integers$"):
+                write_pgm(str(path), raster)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+    def test_write_refuses_what_encode_refuses(self, tmp_path, binary):
+        cases = [(1.5, "must be integers"), (2.5, "must be integers"), (-0.5, "must be integers"),
+                 (float("nan"), "must be integers"), (300, r"must lie in \[0, 255\]"),
+                 (-1, r"must lie in \[0, 255\]"), (1e30, r"must lie in \[0, 255\]")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value, message in cases:
+                raster = np.array([[value, 2], [3, 4]])
+                with pytest.raises(ImageFormatError, match=f"^pixel values {message}$"):
+                    encode(raster)
+                with pytest.raises(ImageFormatError, match=f"^pixel values {message}$"):
+                    write_pgm(str(tmp_path / "v.pgm"), raster, binary=binary)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+    def test_bool_and_int64_rasters_are_written_as_before(self, tmp_path, binary):
+        path = str(tmp_path / "w.pgm")
+        for raster in (np.array([[True, False], [False, True]]),
+                       np.array([[0, 255], [7, 128]], dtype=np.int64),
+                       np.array([[0.0, 255.0], [7.0, 128.0]])):
+            write_pgm(path, raster, binary=binary)
+            assert np.array_equal(read_pgm(path), raster.astype(np.uint8))

@@ -475,6 +475,63 @@ class TestRowBlocks:
         assert reaches_both_edges == (factor == 40.0)
 
 
+class TestCOrder:
+    """Every semantic window and every frame is C-ordered, so a frame is
+    written from its own buffer: a vertical phase transposes tile by tile."""
+
+    @pytest.mark.parametrize("shape", [(0, 5), (1, 200), (200, 1), (63, 65), (64, 64), (130, 70),
+                                       (1017, 1180)], ids=lambda shape: "x".join(map(str, shape)))
+    def test_transposed_is_a_c_ordered_copy(self, shape):
+        a = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+        t = shear._transposed(a)
+        assert np.array_equal(t, a.T) and t.shape == a.T.shape
+        assert t.flags.c_contiguous and not np.shares_memory(t, a)
+
+    @pytest.mark.parametrize("side, canvas", [(512, "clip"), (512, "expand"), (16, "clip")])
+    def test_every_semantic_window_is_c_ordered(self, monkeypatch, side, canvas):
+        """On the clip canvas a whole-frame window is the snapshot itself."""
+        windows = []
+        shift = shear._shift_lines
+
+        def recorded(*args):
+            windows.append(shift(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(shear, "_shift_lines", recorded)
+        image = encode(random_raster(side, seed=side))
+        res = rotate(image, RotationSpec(45), canvas)
+        frames = [res.phase1, res.phase2, res.final]
+        for axis in (HORIZONTAL, VERTICAL):
+            frames.append(apply_shear(image, ShearSpec.from_factor(axis, 0.6, image.n), canvas))
+        assert len(windows) == 5
+        for (window, _, _), frame in zip(windows, frames):
+            assert window.flags.c_contiguous
+            whole = window.shape == frame.pixels.shape
+            assert np.shares_memory(window, frame.pixels) == whole
+            assert whole == (canvas == "clip")
+
+    @pytest.mark.parametrize("backend", [SEMANTIC, NetlistBackend()], ids=["semantic", "netlist"])
+    @pytest.mark.parametrize("canvas", ["clip", "expand"])
+    @pytest.mark.parametrize("side", [2, 16, 64])
+    def test_frames_are_c_ordered_and_read_only(self, backend, canvas, side):
+        image = encode(random_raster(side, seed=side + 1))
+        res = rotate(image, RotationSpec(-37.5), canvas, backend)
+        frames = [res.phase1, res.phase2, res.final]
+        for axis in (HORIZONTAL, VERTICAL):
+            frames.append(apply_shear(image, ShearSpec.from_factor(axis, 0.7, image.n), canvas, backend))
+        for frame in frames:
+            assert frame.pixels.flags.c_contiguous and not frame.pixels.flags.writeable
+
+    def test_clip_rotate_past_the_papers_scale_is_the_oracle_chain(self):
+        """At 2048 every window spans many tiles of ``_transposed``."""
+        raster = random_raster(2048, seed=2048)
+        image = encode(raster)
+        for theta in (30, 45, 60):
+            res = rotate(image, RotationSpec(theta))
+            for got, want in zip((res.phase1, res.phase2, res.final), oracle_chain(raster, theta)):
+                assert np.array_equal(got.pixels, want), theta
+
+
 class TestExactTurns:
     def test_quarter_turn_permutation(self):
         raster = random_raster(8, seed=4)
