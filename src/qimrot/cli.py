@@ -22,7 +22,7 @@ import numpy as np
 
 from . import patterns
 from .audit import audit_report
-from .neqr import ImageFormatError, NEQRImage, encode, decode
+from .neqr import ImageFormatError, NEQRImage, encode
 from .oracle import agreement_fraction, ideal_rotate, oracle_rotate
 from .pgm import read_pgm, write_pgm
 from .shear import (
@@ -53,7 +53,7 @@ def _load_image(path: str) -> NEQRImage:
     try:
         raster = read_pgm(path)
     except OSError as exc:
-        raise ImageFormatError(f"cannot read {path}: {exc}") from exc
+        raise ImageFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return encode(raster)
 
 
@@ -124,12 +124,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             netlist.check(phase)
         image = encode(patterns.checkerboard(side, tile=max(side // 8, 1)))
     # netlist first: it refuses what it cannot run before the semantic engine works
-    gates = decode(rotate(image, spec, backend=netlist).final)
-    semantic = decode(rotate(image, spec).final)
-    reference = oracle_rotate(image.raster(), args.angle)
+    gates = rotate(image, spec, backend=netlist).final.pixels
+    semantic = rotate(image, spec).final.pixels
+    reference = oracle_rotate(image.pixels, args.angle)
     ok = bool(np.array_equal(gates, semantic) and np.array_equal(semantic, reference))
     print(f"netlist == semantic == oracle: {'PASS' if ok else 'FAIL'}")
-    ideal = ideal_rotate(image.raster(), args.angle)
+    ideal = ideal_rotate(image.pixels, args.angle)
     print(f"ideal-rotation agreement (informational): {agreement_fraction(semantic, ideal):.4f}")
     return EXIT_OK if ok else EXIT_MISMATCH
 

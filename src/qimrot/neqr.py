@@ -5,10 +5,10 @@ of |color>|y x> basis terms with an 8-bit color register.  Because every
 operation in this package permutes basis states, the uniform 1/2^n amplitude
 is a constant global factor and is never materialised; the codec is an exact
 bijection between rasters and term sets.  ``Terms`` holds a term set as
-three columns, so a transform moves all terms at once; it is the only term
-representation.  ``paint`` is the one scatter of terms onto a raster, and
-``check_pixel_values`` the one check of a raster's values, which
-``pgm.write_pgm`` shares.
+three checked columns, so a transform moves all terms at once; it is the
+only term representation.  ``paint`` is the one place terms meet a raster,
+and ``check_pixel_values`` the one check of a raster's values, which
+``Terms``' colors and ``pgm.write_pgm`` share.
 """
 from __future__ import annotations
 
@@ -53,36 +53,23 @@ class Terms:
     """Basis terms as columns: int64 rows ``y`` and columns ``x``, and the
     8-bit color register ``color`` as uint8.
 
-    Coordinates may leave the 2^n frame while a term is mid-shear; range is
-    enforced when terms are materialised into an image, not here.  ``len``
-    is the term count.  ``frame`` is n once every term is known to lie in
-    the 2^n frame (set by clipping), else None, so clipping to that frame
-    again costs nothing.  Narrower integer coordinates are widened to int64;
-    uint64 and float ones are refused with TypeError.
+    Coordinates may leave the 2^n frame while a term is mid-shear; ``paint``
+    drops the terms outside when it materialises them.  ``len`` is the term
+    count.  Narrower integer coordinates are widened to int64; uint64 and
+    float ones are refused with TypeError.  Colors must pass
+    ``check_pixel_values``, as a raster's pixels do.
     """
 
-    __slots__ = ("y", "x", "color", "frame")
+    __slots__ = ("y", "x", "color")
 
     def __init__(self, y: np.ndarray, x: np.ndarray, color: np.ndarray) -> None:
         self.y = y.astype(np.int64, casting="safe", copy=False)
         self.x = x.astype(np.int64, casting="safe", copy=False)
-        self.color = color
-        self.frame: int | None = None
+        check_pixel_values(color)
+        self.color = color.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return len(self.y)
-
-    def clip(self, n: int) -> "Terms":
-        """The terms inside [0, 2^n) in both coordinates (these columns
-        themselves when they are known to be inside)."""
-        if self.frame is not None and self.frame <= n:
-            return self
-        side = 1 << n
-        # a negative coordinate reads as a huge unsigned one
-        inside = (self.y.view(np.uint64) < side) & (self.x.view(np.uint64) < side)
-        kept = Terms(self.y[inside], self.x[inside], self.color[inside])
-        kept.frame = n
-        return kept
 
 
 class NEQRImage:
@@ -120,9 +107,6 @@ class NEQRImage:
         y, x = np.repeat(coords, self.side), np.tile(coords, self.side)
         return Terms(y, x, self._raster.ravel())
 
-    def raster(self) -> np.ndarray:
-        return self._raster.copy()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NEQRImage):
             return NotImplemented
@@ -152,17 +136,22 @@ class NEQRImage:
         return cls.adopt(n, canvas)
 
 
-def paint(canvas: np.ndarray, n: int, terms: Terms) -> None:
+def paint(canvas: np.ndarray, n: int, terms: Terms) -> Terms:
     """Write the colors of the terms inside the 2^n frame onto ``canvas``, a
-    flat row-major 4^n uint8 raster; the terms outside are dropped.
+    flat row-major 4^n uint8 raster, and return those terms in their order;
+    the terms outside are dropped.
 
     In-frame terms must hit distinct positions, as the terms of one image
     do under any shear.
     """
-    kept = terms.clip(n)
+    side = 1 << n
+    # a negative coordinate reads as a huge unsigned one
+    inside = (terms.y.view(np.uint64) < side) & (terms.x.view(np.uint64) < side)
+    kept = Terms(terms.y[inside], terms.x[inside], terms.color[inside])
     flat = kept.y << n
     flat |= kept.x
     canvas[flat] = kept.color
+    return kept
 
 
 def encode(raster: np.ndarray) -> NEQRImage:
@@ -171,5 +160,5 @@ def encode(raster: np.ndarray) -> NEQRImage:
 
 
 def decode(image: NEQRImage) -> np.ndarray:
-    """Exact inverse of encode: decode(encode(r)) == r bit for bit."""
-    return image.raster()
+    """Exact inverse of encode, as a writable copy: decode(encode(r)) == r."""
+    return image.pixels.copy()

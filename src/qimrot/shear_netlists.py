@@ -184,10 +184,13 @@ def run_shear_phase(terms: Terms, n: int, spec: ShearSpec, order: str = "tb") ->
 
     One netlist walk for the whole phase: each term is one lane, loaded from
     the ``y``/``x`` columns, with ``q`` and ``med`` the same in every lane.
-    Input terms must be in frame: the half dispatch reads a single register
-    bit, which identifies the half only for coordinates in [0, 2^n).  The
+    Input terms must be in frame (refused, not dropped): the half dispatch
+    reads a single register bit, which identifies the half only for
+    coordinates in [0, 2^n).  So must ``spec`` be built for that frame.  The
     driver and color columns pass through; the moved one is rebuilt.
     """
+    if spec.n != n:
+        raise ValueError(f"spec built for 2^{spec.n} frame, phase runs on 2^{n}")
     side = 1 << n
     # a negative coordinate reads as a huge unsigned one
     outside = (terms.y.view(np.uint64) >= side) | (terms.x.view(np.uint64) >= side)
@@ -230,12 +233,12 @@ class NetlistBackend:
             )
 
     def run(self, image: NEQRImage, offset: int, phases: list[ShearSpec]) -> Iterator[np.ndarray]:
-        """One netlist walk per phase over every term still in the frame."""
+        """One netlist walk per phase over every term still in the frame:
+        ``paint`` keeps the terms the phase left in it for the next."""
         terms = image.terms(offset)
         for phase in phases:
-            terms = run_shear_phase(terms, phase.n, phase, self.order).clip(phase.n)
             frame = np.zeros(1 << 2 * phase.n, dtype=np.uint8)
-            paint(frame, phase.n, terms)
+            terms = paint(frame, phase.n, run_shear_phase(terms, phase.n, phase, self.order))
             yield frame
 
 

@@ -243,6 +243,14 @@ class TestErrorExits:
         assert invoke(argv) == EXIT_FORMAT
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, reason", [("missing.pgm", "No such file or directory"),
+                                              (".", "Is a directory")], ids=["missing", "directory"])
+    def test_read_error_names_the_input_once(self, tmp_path, capsys, name, reason):
+        path = str(tmp_path / name)
+        assert invoke(["rotate", "--input", path, "--output", str(tmp_path / "x.pgm"),
+                       "--angle", "30"]) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+
     def test_p2_sample_beyond_int64(self, tmp_path, capsys):
         src = tmp_path / "big.pgm"
         src.write_text("P2\n2 2\n255\n0 1 2 99999999999999999999999\n")

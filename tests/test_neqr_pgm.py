@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode
+from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode, paint
 from qimrot.pgm import read_pgm, write_pgm
 
 from rasters import columns
@@ -15,6 +15,13 @@ from rasters import columns
 def make_terms(y, x, color):
     return Terms(np.array(y, dtype=np.int64), np.array(x, dtype=np.int64),
                  np.array(color, dtype=np.uint8))
+
+
+def painted(n, terms):
+    """The terms ``paint`` keeps in the 2^n frame, and the raster it paints."""
+    canvas = np.zeros(1 << 2 * n, dtype=np.uint8)
+    kept = paint(canvas, n, terms)
+    return kept, canvas.reshape(1 << n, 1 << n)
 
 
 class TestCodec:
@@ -95,13 +102,14 @@ class TestTerms:
         y, x = np.array([0, 1, 1, 2], dtype=dtype), np.array([1, 0, 2, 0], dtype=dtype)
         terms = Terms(y, x, np.array([7, 8, 9, 6], dtype=np.uint8))
         assert terms.y.dtype == terms.x.dtype == np.int64
-        assert columns(terms.clip(1)) == ([0, 1], [1, 0], [7, 8])
+        assert columns(painted(1, terms)[0]) == ([0, 1], [1, 0], [7, 8])
         assert np.array_equal(decode(NEQRImage.from_terms(1, terms)), [[0, 7], [8, 0]])
 
     def test_int32_clip_drops_negative_coordinates(self):
         y, x = np.array([-1, 0, 1], dtype=np.int32), np.array([0, -2, 1], dtype=np.int32)
-        kept = Terms(y, x, np.array([3, 4, 5], dtype=np.uint8)).clip(1)
+        kept, raster = painted(1, Terms(y, x, np.array([3, 4, 5], dtype=np.uint8)))
         assert columns(kept) == ([1], [1], [5])
+        assert np.array_equal(raster, [[0, 0], [0, 5]])
 
     @pytest.mark.parametrize("dtype", [np.uint64, np.float64])
     def test_coordinates_int64_cannot_hold_exactly_are_refused(self, dtype):
@@ -111,15 +119,32 @@ class TestTerms:
             Terms(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=dtype), np.zeros(2, dtype=np.uint8))
 
     def test_clip_keeps_in_frame_terms_in_order(self):
+        """``paint`` returns the in-frame terms in their order, leaves its
+        input as it was, and a smaller frame drops every term outside it."""
         mixed = make_terms([1, -1, 0, 0, 2], [1, 0, 2, 0, 1], [1, 2, 3, 4, 5])
-        assert columns(mixed.clip(1)) == ([1, 0], [1, 0], [1, 4])
+        before = columns(mixed)
+        kept, raster = painted(1, mixed)
+        assert columns(kept) == ([1, 0], [1, 0], [1, 4])
+        assert np.array_equal(raster, [[4, 0], [0, 1]])
+        assert columns(mixed) == before
+        assert columns(painted(1, kept)[0]) == columns(kept)
+        corner, _ = painted(1, make_terms([1, -1], [1, 0], [1, 2]))
+        assert columns(corner) == ([1], [1], [1])
+        none, dot = painted(0, corner)
+        assert len(none) == 0 and not dot.any()
 
-    def test_clipped_terms_are_not_masked_again(self):
-        mixed = make_terms([1, -1], [1, 0], [1, 2])
-        kept = mixed.clip(1)
-        assert kept.clip(1) is kept and kept.clip(2) is kept
-        assert len(kept.clip(0)) == 0
-        assert mixed.frame is None  # clipping leaves its input as it was
+    @pytest.mark.parametrize("color", [[300], [-1], [2.7], [1 + 1j]],
+                             ids=["300", "-1", "2.7", "complex"])
+    def test_colors_outside_the_register_are_refused(self, color):
+        with pytest.raises(ImageFormatError, match="^pixel values must"):
+            Terms(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.array(color))
+
+    def test_in_range_int64_colors_paint_as_uint8_ones(self):
+        y, x, color = [0, 0, 1, 1], [0, 1, 0, 1], [0, 100, 200, 255]
+        wide = Terms(np.array(y), np.array(x), np.array(color, dtype=np.int64))
+        assert wide.color.dtype == np.uint8
+        narrow = make_terms(y, x, color)
+        assert NEQRImage.from_terms(1, wide) == NEQRImage.from_terms(1, narrow)
 
 
 class TestPgm:

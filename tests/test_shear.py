@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimrot import shear, shear_netlists
-from qimrot.neqr import Terms, decode, encode
+from qimrot.neqr import Terms, decode, encode, paint
 from qimrot.oracle import oracle_shear, rotation_coordinate_map
 from qimrot.shear import (
     HORIZONTAL,
@@ -241,12 +241,12 @@ class TestSemanticBackend:
         """The input raster is only read, and every frame returned is
         read-only and shares no memory with the input or another frame."""
         img = encode(random_raster(16, seed=21))
-        raster = img.raster()
+        raster = decode(img)
         frames = [apply_shear(img, ShearSpec.from_factor(axis, factor, 4), canvas)
                   for axis in (HORIZONTAL, VERTICAL)]
         res = rotate(img, RotationSpec(np.degrees(np.arctan(factor))), canvas)
         frames += [res.phase1, res.phase2, res.final]
-        assert np.array_equal(img.raster(), raster)
+        assert np.array_equal(img.pixels, raster)
         for i, frame in enumerate(frames):
             assert not frame.pixels.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -256,7 +256,8 @@ class TestSemanticBackend:
 
     def test_dtypes_survive_clip(self):
         y, x = np.array([0, 7], dtype=np.int64), np.array([-3, 1], dtype=np.int64)
-        kept = Terms(y, x, np.array([9, 255], dtype=np.uint8)).clip(3)
+        terms = Terms(y, x, np.array([9, 255], dtype=np.uint8))
+        kept = paint(np.zeros(64, dtype=np.uint8), 3, terms)
         assert kept.y.dtype == kept.x.dtype == np.int64
         assert kept.color.dtype == np.uint8
         assert kept.x.tolist() == [1]
@@ -421,7 +422,7 @@ class TestRowBlocks:
         for (window, top, left), frame in zip(windows, (res.phase1, res.phase2, res.final)):
             bottom, right = top + window.shape[0], left + window.shape[1]
             assert 0 <= top < bottom <= frame.side and 0 <= left < right <= frame.side
-            outside = frame.raster()
+            outside = decode(frame)
             assert np.array_equal(outside[top:bottom, left:right], window)
             outside[top:bottom, left:right] = 0
             assert not outside.any()
@@ -548,7 +549,7 @@ class TestExactTurns:
     def test_every_multiple_of_90_matches_rot90(self, degrees):
         img = encode(random_raster(8, seed=6))
         out = decode(exact_turn(img, degrees))
-        assert np.array_equal(out, np.rot90(img.raster(), k=degrees // 90))
+        assert np.array_equal(out, np.rot90(img.pixels, k=degrees // 90))
 
     def test_half_turn_twice_is_identity(self):
         img = encode(random_raster(8, seed=5))

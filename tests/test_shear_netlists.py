@@ -311,6 +311,13 @@ def test_out_of_frame_terms_rejected():
         run_shear_phase(terms, 2, spec)
 
 
+@pytest.mark.parametrize("spec_n, n", [(3, 4), (4, 3)])
+def test_spec_for_another_frame_is_refused(spec_n, n):
+    # a median of 2^(spec_n - 1) in a 2^n netlist would move every row wrongly
+    with pytest.raises(ValueError, match=rf"^spec built for 2\^{spec_n} frame, phase runs on 2\^{n}$"):
+        run_shear_phase(frame_terms(n), n, spec_for("horizontal", 8, 1, spec_n))
+
+
 def test_netlists_are_cached_per_parameters():
     assert build_shear_netlist(3, "horizontal", 1) is build_shear_netlist(
         3, "horizontal", 1
