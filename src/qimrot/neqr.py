@@ -53,16 +53,18 @@ class Terms:
     """Basis terms as columns: int64 rows ``y`` and columns ``x``, and the
     8-bit color register ``color`` as uint8.
 
-    Coordinates may leave the 2^n frame while a term is mid-shear; ``paint``
-    drops the terms outside when it materialises them.  ``len`` is the term
-    count.  Narrower integer coordinates are widened to int64; uint64 and
-    float ones are refused with TypeError.  Colors must pass
-    ``check_pixel_values``, as a raster's pixels do.
+    Coordinates may leave the 2^n frame while a term is mid-shear; ``inside``
+    is the one in-frame test.  The columns are 1-D and of one length, ``len``.
+    Narrower integer coordinates are widened to int64; uint64 and float ones
+    are refused with TypeError.  Colors must pass ``check_pixel_values``.
     """
 
     __slots__ = ("y", "x", "color")
 
     def __init__(self, y: np.ndarray, x: np.ndarray, color: np.ndarray) -> None:
+        if y.ndim != 1 or not y.shape == x.shape == color.shape:
+            raise ValueError("term columns y, x and color must be 1-D and of one length, "
+                             f"got {y.shape}, {x.shape} and {color.shape}")
         self.y = y.astype(np.int64, casting="safe", copy=False)
         self.x = x.astype(np.int64, casting="safe", copy=False)
         check_pixel_values(color)
@@ -70,6 +72,12 @@ class Terms:
 
     def __len__(self) -> int:
         return len(self.y)
+
+    def inside(self, n: int) -> np.ndarray:
+        """The mask of the terms inside the 2^n frame."""
+        side = 1 << n
+        # a negative coordinate reads as a huge unsigned one
+        return (self.y.view(np.uint64) < side) & (self.x.view(np.uint64) < side)
 
 
 class NEQRImage:
@@ -139,14 +147,12 @@ class NEQRImage:
 def paint(canvas: np.ndarray, n: int, terms: Terms) -> Terms:
     """Write the colors of the terms inside the 2^n frame onto ``canvas``, a
     flat row-major 4^n uint8 raster, and return those terms in their order;
-    the terms outside are dropped.
+    the terms outside (``Terms.inside``) are dropped.
 
     In-frame terms must hit distinct positions, as the terms of one image
     do under any shear.
     """
-    side = 1 << n
-    # a negative coordinate reads as a huge unsigned one
-    inside = (terms.y.view(np.uint64) < side) & (terms.x.view(np.uint64) < side)
+    inside = terms.inside(n)
     kept = Terms(terms.y[inside], terms.x[inside], terms.color[inside])
     flat = kept.y << n
     flat |= kept.x

@@ -90,12 +90,12 @@ def read_pgm(path: str) -> np.ndarray:
 def write_pgm(path: str, raster: np.ndarray, binary: bool = True) -> None:
     """Write a raster as P5 (default) or P2, atomically (temp + rename).
 
-    Its values pass ``neqr.check_pixel_values`` before any file is made; a
-    C-ordered uint8 raster is written from its own buffer, not copied.
+    Its shape and values (``neqr.check_pixel_values``) are checked before any
+    file is made; a C-ordered uint8 raster is written from its own buffer.
     """
     arr = np.asarray(raster)
-    if arr.ndim != 2:
-        raise ImageFormatError("raster must be 2D")
+    if arr.ndim != 2 or not arr.size:
+        raise ImageFormatError(f"raster must be 2D with rows and columns, got shape {arr.shape}")
     check_pixel_values(arr)
     arr = arr.astype(np.uint8, copy=False)
     height, width = arr.shape

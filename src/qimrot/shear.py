@@ -211,9 +211,9 @@ class SemanticBackend:
     """Plain integer arithmetic on a raster window: a uint8 array and the
     frame row and column of its origin, holding every term still in the
     frame.  Each phase shifts the window's lines by their ``line_steps``
-    steps in one gather; runs every phase.  Every window, and so every
-    frame it yields, is C-ordered: a vertical phase transposes its window
-    in and out tile by tile (``_transposed``)."""
+    steps in one gather (``_shift_lines``); runs every phase.  A clip-canvas
+    window is the whole frame and is yielded as it is.  Every window, and so
+    every frame it yields, is C-ordered."""
 
     def check(self, spec: ShearSpec) -> None:
         pass
@@ -255,42 +255,36 @@ def _transposed(a: np.ndarray) -> np.ndarray:
 
 def _shift_lines(window: np.ndarray, top: int, left: int, spec: ShearSpec) -> tuple:
     """The next (window, top, left) for the window at (``top``, ``left``) in
-    the spec's frame, both windows C-ordered.  A vertical shear is the
-    horizontal one on the window's tiled transpose, whose result is
-    transposed back the same way.  Rows that leave the frame whole are cut;
-    the rest go into a flat zero buffer, one gap of zeros between rows, and
-    one fancy index into a read-only view of row-long spans of that buffer
-    reads each row's new extent.
+    the spec's frame, both C-ordered and on the same driver lines.  A
+    vertical shear is the horizontal one on the window's tiled transpose,
+    whose result is transposed back the same way.  Every row goes into a
+    flat zero buffer, one gap of zeros between rows, and one fancy index into
+    a read-only view of row-long spans of that buffer reads each row's new
+    extent.  The median line stays put, so a clip-canvas window stays the frame.
     """
-    if not window.size:  # every term has left the frame
+    if not window.size:  # every term has left the frame; its transpose has no lines
         return window, top, left
     horizontal = spec.axis == HORIZONTAL
     if not horizontal:
         window, top, left = _transposed(window), left, top
     side = 1 << spec.n
     lines, length = window.shape
-    lo = line_steps(np.arange(top, top + lines), spec) + left  # each row's start after the shift
+    # each row's new start, clamped: a row off the frame whole starts just off it
+    # and reads zeros (np.clip's Python wrapper costs about 5 us more a phase)
+    lo = np.minimum(np.maximum(line_steps(np.arange(top, top + lines), spec) + left, -length), side)
     low, high = int(lo.min()), int(lo.max())
-    cut = slice(0, lines)
-    if low <= -length or high >= side:  # some rows leave the frame whole
-        live = np.flatnonzero((lo > -length) & (lo < side))
-        if not live.size:
-            return np.zeros((0, 0), dtype=np.uint8), 0, 0
-        cut = slice(int(live[0]), int(live[-1]) + 1)
-        lo = lo[cut]
-        low, high, lines = int(lo.min()), int(lo.max()), len(lo)
     new_lo = max(low, 0)
     width = min(high + length, side) - new_lo
     # a row's new extent starts new_lo - lo into its old one: pad for the extremes
     gap = max(high - new_lo, new_lo - low + width - length, 0)
     stride = length + gap
     buffer = np.zeros(gap + lines * stride, dtype=np.uint8)
-    buffer[gap:].reshape(lines, stride)[:, :length] = window[cut]
+    buffer[gap:].reshape(lines, stride)[:, :length] = window
     # numpy refuses a view reaching past the buffer
     spans = np.ndarray((buffer.size - width + 1, width), np.uint8, buffer, 0, (1, 1))
     spans.flags.writeable = False
     starts = np.arange(gap + new_lo, buffer.size + new_lo, stride) - lo
-    out, top = spans[starts], top + cut.start
+    out = spans[starts]
     return (out, top, new_lo) if horizontal else (_transposed(out), new_lo, top)
 
 

@@ -184,16 +184,14 @@ def run_shear_phase(terms: Terms, n: int, spec: ShearSpec, order: str = "tb") ->
 
     One netlist walk for the whole phase: each term is one lane, loaded from
     the ``y``/``x`` columns, with ``q`` and ``med`` the same in every lane.
-    Input terms must be in frame (refused, not dropped): the half dispatch
-    reads a single register bit, which identifies the half only for
-    coordinates in [0, 2^n).  So must ``spec`` be built for that frame.  The
-    driver and color columns pass through; the moved one is rebuilt.
+    Input terms must be ``Terms.inside`` the frame (refused, not dropped): the
+    half dispatch reads a single register bit, which identifies the half only
+    for coordinates in [0, 2^n).  So must ``spec`` be built for that frame.
+    The driver and color columns pass through; the moved one is rebuilt.
     """
     if spec.n != n:
         raise ValueError(f"spec built for 2^{spec.n} frame, phase runs on 2^{n}")
-    side = 1 << n
-    # a negative coordinate reads as a huge unsigned one
-    outside = (terms.y.view(np.uint64) >= side) | (terms.x.view(np.uint64) >= side)
+    outside = ~terms.inside(n)
     if outside.any():
         i = int(outside.argmax())
         raise NetlistModeError(

@@ -133,6 +133,21 @@ class TestTerms:
         none, dot = painted(0, corner)
         assert len(none) == 0 and not dot.any()
 
+    @pytest.mark.parametrize("y, x, color", [([0], [0, 1], [5]), ([0, 1], [0], [5, 6]),
+                                             ([0, 1], [0, 1], [5]), ([[0], [1]], [0, 1], [5, 6])],
+                             ids=["x", "y", "color", "2d"])
+    def test_columns_not_1d_or_not_of_one_length_are_refused(self, y, x, color):
+        """The odd column out, whichever it is, is refused and named by its
+        shape before ``paint`` or ``from_terms`` could index past it."""
+        with pytest.raises(ValueError, match="^term columns y, x and color must be 1-D") as info:
+            make_terms(y, x, color)
+        assert str(info.value).endswith(f"got {np.shape(y)}, {np.shape(x)} and {np.shape(color)}")
+
+    def test_inside_is_the_in_frame_mask(self):
+        terms = make_terms([0, -1, 3, 1, 4, 0], [3, 0, 3, -5, 0, 2**62], [1, 2, 3, 4, 5, 6])
+        assert terms.inside(2).tolist() == [True, False, True, False, False, False]
+        assert terms.inside(3).tolist() == [True, False, True, False, True, False]
+
     @pytest.mark.parametrize("color", [[300], [-1], [2.7], [1 + 1j]],
                              ids=["300", "-1", "2.7", "complex"])
     def test_colors_outside_the_register_are_refused(self, color):
@@ -246,6 +261,14 @@ class TestPixelValueCheck:
                     encode(raster)
                 with pytest.raises(ImageFormatError, match=f"^pixel values {message}$"):
                     write_pgm(str(tmp_path / "v.pgm"), raster, binary=binary)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)], ids=["0x0", "0x4", "4x0"])
+    def test_write_refuses_a_raster_with_no_rows_or_no_columns(self, tmp_path, shape, binary):
+        """``read_pgm`` refuses such a file, so none is made, nor a temp file."""
+        with pytest.raises(ImageFormatError, match=r"^raster must be 2D with rows and columns"):
+            write_pgm(str(tmp_path / "e.pgm"), np.zeros(shape, dtype=np.uint8), binary=binary)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])

@@ -462,6 +462,42 @@ class TestRowBlocks:
             assert frame.shape == (8, 8) and not frame.any()
 
     @pytest.mark.parametrize("axis", [HORIZONTAL, VERTICAL])
+    @pytest.mark.parametrize("factor", [0.5, 3.0, 40.0, -1e6, 2.0**57])
+    def test_every_clip_window_is_the_whole_frame(self, monkeypatch, factor, axis):
+        """A line that leaves the frame whole stays in the window as zeros,
+        and the median line never moves: on the clip canvas the window is the
+        frame at any factor, and is itself the sheared image's pixels."""
+        windows = []
+        shift = shear._shift_lines
+
+        def recorded(*args):
+            windows.append(shift(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(shear, "_shift_lines", recorded)
+        raster = random_raster(16, seed=16) | 1
+        out = apply_shear(encode(raster), ShearSpec.from_factor(axis, factor, 4))
+        [(window, top, left)] = windows
+        assert window.shape == (16, 16) and (top, left) == (0, 0)
+        assert np.shares_memory(window, out.pixels)
+        assert np.array_equal(out.pixels, oracle_shear(raster, axis, factor))
+
+    @pytest.mark.parametrize("canvas", ["clip", "expand"])
+    @pytest.mark.parametrize("side", [2, 4, 16, 64])
+    def test_phases_after_lines_left_the_frame_whole_are_the_oracle_chain(self, canvas, side):
+        """Factors 3 and 40 send whole lines off the frame, and the phase
+        after each transposes and shifts the zero lines left in the window."""
+        raster = random_raster(side, seed=side) | 1
+        exponent, offset = shear._frame(side.bit_length() - 1, canvas)
+        factors = [(HORIZONTAL, 3.0), (VERTICAL, -2.5), (HORIZONTAL, 40.0)]
+        phases = [ShearSpec.from_factor(axis, factor, exponent) for axis, factor in factors]
+        want = framed_raster(raster, canvas)
+        for frame, (axis, factor) in zip(SEMANTIC.run(encode(raster), offset, phases), factors,
+                                         strict=True):
+            want = oracle_shear(want, axis, factor)
+            assert np.array_equal(frame, want), (axis, factor)
+
+    @pytest.mark.parametrize("axis", [HORIZONTAL, VERTICAL])
     @pytest.mark.parametrize("factor", [40.0, -1e6])
     def test_expand_factors_past_the_frame_edge_are_the_oracle(self, factor, axis):
         """At 64x64 on the 256 frame, factor 40 sends the lines next to the
