@@ -8,7 +8,8 @@ verification or audit comparison failed; 2 unreadable or malformed image
 input, or an option combination argparse refuses; 3 unsupported angle or
 parameter domain (including the netlist-mode frame and factor limits); 4
 output could not be written (an output raster, the audit's --report CSV, or
-a closed standard output).
+a closed standard output).  Every output file goes through
+``pgm.replace_atomically``, so a failed write leaves the old file whole.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from . import patterns
 from .audit import audit_report
 from .neqr import ImageFormatError, NEQRImage, encode
 from .oracle import agreement_fraction, ideal_rotate, oracle_rotate
-from .pgm import read_pgm, write_pgm
+from .pgm import read_pgm, replace_atomically, write_pgm
 from .shear import (
     FRACTION_BITS,
     SEMANTIC,
@@ -138,8 +139,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = audit_report(range(args.n_min, args.n_max + 1), range(args.m_min, args.m_max + 1))
     print(report.to_table())
     if args.report:
-        with _output(args.report), open(args.report, "w") as fh:
-            fh.write(report.to_csv())
+        with _output(args.report):
+            replace_atomically(args.report, report.to_csv().encode())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 

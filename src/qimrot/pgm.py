@@ -1,73 +1,57 @@
-"""PGM image input/output, P2 (ASCII) and P5 (binary), maxval 255 only.
+"""PGM image input/output, P2 (ASCII) and P5 (binary), maxval 255 only,
+and the one atomic writer of every output file.
 
 Every number in a PGM file, header and P2 sample alike, is ASCII decimal
 digits: no sign and no underscore, which Python's ``int`` would accept.
+Every refusal of a file starts with its path.
 """
 from __future__ import annotations
 
 import os
-import tempfile
+import re
 
 import numpy as np
 
 from .neqr import ImageFormatError, check_pixel_values
 
-_WHITESPACE = b" \t\r\n\v\f"
-
-
-def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read ``count`` whitespace-separated header tokens, skipping # comments.
-
-    Returns the tokens and the offset of the byte right after the single
-    whitespace character that terminates the last token.
-    """
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1] in _WHITESPACE:
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-            pos += 1
-        if start == pos:
-            raise ImageFormatError("truncated PGM header")
-        tokens.append(data[start:pos])
-        if len(tokens) == count:
-            if pos >= len(data):
-                raise ImageFormatError("truncated PGM header")
-            pos += 1  # exactly one whitespace byte separates header and raster
-    return tokens, pos
+# Whitespace and # comments, then one header token.  A '#' starts a comment
+# only where a token could start, so a token never starts with one but may
+# hold one (``P5#x``, ``2#c``).  A comment ends at a newline or at the end of
+# the data, so the engine cannot backtrack into it and read its text as a token.
+_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*(?:\n|\Z))*([^# \t\r\n\v\f][^ \t\r\n\v\f]*)")
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a P2 or P5 file into a uint8 array of shape (height, width)."""
+    """Read a P2 or P5 file into a uint8 array of shape (height, width).
+
+    The header is read in one pass, magic, width, height and maxval; exactly
+    one whitespace byte separates maxval from the raster.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        (magic,), _ = _header_tokens(data, 1)
-    except ImageFormatError:
-        raise ImageFormatError(f"{path}: not a PGM file")
-    if magic not in (b"P2", b"P5"):
-        raise ImageFormatError(f"{path}: unsupported magic {magic!r}")
-    tokens, offset = _header_tokens(data, 4)
-    if not all(t.isdigit() for t in tokens[1:]):
+    tokens: list[bytes] = []
+    pos = 0
+    for refusal in ("not a PGM file", *["truncated PGM header"] * 3):
+        token = _TOKEN.match(data, pos)
+        if token is None or token.end() == len(data):
+            raise ImageFormatError(f"{path}: {refusal}")
+        tokens.append(token[1])
+        pos = token.end() + 1  # past the one whitespace byte that ends the token
+        if tokens[0] not in (b"P2", b"P5"):  # checked before the rest is read
+            raise ImageFormatError(f"{path}: unsupported magic {tokens[0]!r}")
+    magic, *fields = tokens
+    if not all(t.isdigit() for t in fields):
         raise ImageFormatError(f"{path}: malformed PGM header")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    width, height, maxval = (int(t) for t in fields)
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"{path}: maxval must be 255, got {maxval}")
     if magic == b"P5":
-        raster = data[offset : offset + width * height]
-        if len(raster) != width * height:
+        if len(data) - pos < width * height:
             raise ImageFormatError(f"{path}: truncated raster data")
-        arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-        return arr.copy()
-    values = data[offset:].split()
+        return np.frombuffer(data, np.uint8, width * height, pos).copy().reshape(height, width)
+    values = data[pos:].split()
     if len(values) != width * height:
         raise ImageFormatError(
             f"{path}: expected {width * height} samples, got {len(values)}"
@@ -87,8 +71,27 @@ def read_pgm(path: str) -> np.ndarray:
     return flat.astype(np.uint8).reshape(height, width)
 
 
+def replace_atomically(path: str, *chunks: bytes | np.ndarray) -> None:
+    """Write the chunks (bytes or buffers) to a temp file beside ``path``, then
+    rename it over ``path``: the file is the old one or the whole new one,
+    never a part.  The file gets the mode ``open(path, "w")`` would give it.
+    On any failure the temp file is removed and the error raised; it may
+    name the temp file, not ``path``."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_pgm(path: str, raster: np.ndarray, binary: bool = True) -> None:
-    """Write a raster as P5 (default) or P2, atomically (temp + rename).
+    """Write a raster as P5 (default) or P2 through ``replace_atomically``.
 
     Its shape and values (``neqr.check_pixel_values``) are checked before any
     file is made; a C-ordered uint8 raster is written from its own buffer.
@@ -100,20 +103,7 @@ def write_pgm(path: str, raster: np.ndarray, binary: bool = True) -> None:
     arr = arr.astype(np.uint8, copy=False)
     height, width = arr.shape
     if binary:
-        header = f"P5\n{width} {height}\n255\n".encode()
-        body = np.ascontiguousarray(arr)  # written from its own buffer, not copied
+        replace_atomically(path, f"P5\n{width} {height}\n255\n".encode(), np.ascontiguousarray(arr))
     else:
         lines = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
-        header = f"P2\n{width} {height}\n255\n{lines}\n".encode()
-        body = b""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".pgm.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        replace_atomically(path, f"P2\n{width} {height}\n255\n{lines}\n".encode())

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from qimrot.oracle import oracle_rotate, oracle_shear
 from qimrot.pgm import read_pgm, write_pgm
 
 from rasters import gradient, random_raster
+from test_neqr_pgm import HEADER_REFUSALS
 
 
 def invoke(argv):
@@ -325,7 +327,7 @@ class TestErrorExits:
                        "--angle", "30", "--emit-intermediates"]) == EXIT_WRITE
         err = capsys.readouterr().err
         assert f"cannot write {out}" in err
-        assert ".pgm.tmp" not in err  # the writer's temp file is not the user's path
+        assert ".tmp" not in err  # the writer's temp file is not the user's path
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
     def test_audit_report_into_missing_directory(self, tmp_path, capsys):
@@ -334,6 +336,51 @@ class TestErrorExits:
                        "--report", str(report)]) == EXIT_WRITE
         assert f"cannot write {report}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_outputs_replace_old_files_with_the_mode_open_gives(self, tmp_path, image_file):
+        with open(tmp_path / "plain", "w"):
+            pass
+        mode = (tmp_path / "plain").stat().st_mode
+        out, report = tmp_path / "out.pgm", tmp_path / "audit.csv"
+        out.write_text("old")
+        report.write_text("old")
+        assert invoke(["rotate", "--input", image_file, "--output", str(out),
+                       "--angle", "30"]) == EXIT_OK
+        assert invoke(["audit", "--n-max", "3", "--m-max", "5", "--report", str(report)]) == EXIT_OK
+        assert out.read_bytes().startswith(b"P5\n16 16\n255\n")
+        assert report.read_text().startswith("kind,n,m,predicted,")
+        assert out.stat().st_mode == report.stat().st_mode == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.csv", "in.pgm", "out.pgm",
+                                                              "plain"]  # no temp file left
+
+    @pytest.mark.parametrize("step, error", [
+        ("open", OSError(errno.EACCES, "Permission denied")),  # a read-only directory
+        ("replace", OSError(errno.ENOSPC, "No space left on device")),
+    ], ids=["read-only-directory", "disk-full"])
+    def test_audit_report_is_replaced_never_truncated(self, tmp_path, monkeypatch, capsys,
+                                                       step, error):
+        report = tmp_path / "audit.csv"
+        report.write_bytes(b"old")
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(os, step, fail)
+        assert invoke(["audit", "--n-max", "3", "--m-max", "5",
+                       "--report", str(report)]) == EXIT_WRITE
+        monkeypatch.undo()
+        assert capsys.readouterr().err == f"error: cannot write {report}: {error.strerror}\n"
+        assert report.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["audit.csv"]  # no temp file left
+
+    @pytest.mark.parametrize("data, message", HEADER_REFUSALS)
+    def test_header_refusal_names_the_input_once(self, tmp_path, capsys, data, message):
+        src = tmp_path / "t.pgm"
+        src.write_bytes(data)
+        assert invoke(["rotate", "--input", str(src), "--output", str(tmp_path / "o.pgm"),
+                       "--angle", "30"]) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.pgm"]
 
     @pytest.mark.parametrize("buffering", ["unbuffered", "block-buffered"])
     @pytest.mark.parametrize("argv", [["verify", "--angle", "30"], ["audit", "--n-max", "3"]],

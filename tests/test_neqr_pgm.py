@@ -162,6 +162,32 @@ class TestTerms:
         assert NEQRImage.from_terms(1, wide) == NEQRImage.from_terms(1, narrow)
 
 
+# Every header refusal: the file's bytes and the message after the path.
+HEADER_REFUSALS = [
+    pytest.param(b"", "not a PGM file", id="empty"),
+    pytest.param(b"# a comment and nothing else\n", "not a PGM file", id="only-a-comment"),
+    pytest.param(b"P5", "not a PGM file", id="magic-at-the-end"),
+    pytest.param(b"P6\n2 2\n255\n" + bytes(4), "unsupported magic b'P6'", id="P6"),
+    pytest.param(b"hello\n", "unsupported magic b'hello'", id="hello"),
+    pytest.param(b"P5#x\n2 2\n255\n" + bytes(4), "unsupported magic b'P5#x'", id="hash-in-magic"),
+    pytest.param(b"P5\n", "truncated PGM header", id="after-magic"),
+    pytest.param(b"P5\n4", "truncated PGM header", id="after-width"),
+    pytest.param(b"P5\n4 4", "truncated PGM header", id="after-height"),
+    pytest.param(b"P5\n4 4\n255", "truncated PGM header", id="no-byte-after-maxval"),
+    pytest.param(b"P5\n4 4\n# no newline", "truncated PGM header", id="comment-at-the-end"),
+    pytest.param(b"P5\n2#c 2\n255\n" + bytes(4), "malformed PGM header", id="hash-in-width"),
+]
+
+# Headers read as the 2x2 raster [[0, 1], [2, 3]].
+ACCEPTED_HEADERS = [
+    *[pytest.param(b"P5%s2%s2%s255%s\x00\x01\x02\x03" % ((sep,) * 4), id=f"sep-{sep!r}")
+      for sep in (b" ", b"\t", b"\r", b"\n", b"\v", b"\f")],
+    pytest.param(b"P2\r\n2 2\r\n255\r\n0 1\r\n2 3\r\n", id="crlf"),
+    pytest.param(b"# a\nP5\n# b\n2\n#c\n2 # d #\n255\n\x00\x01\x02\x03",
+                 id="comment-before-every-token"),
+]
+
+
 class TestPgm:
     @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
     def test_round_trip(self, tmp_path, binary):
@@ -221,6 +247,27 @@ class TestPgm:
         path.write_bytes(f"P5\n{header}\n".encode() + bytes(4))
         with pytest.raises(ImageFormatError, match="malformed PGM header"):
             read_pgm(str(path))
+
+    @pytest.mark.parametrize("data, message", HEADER_REFUSALS)
+    def test_header_refusal_names_the_file_once(self, tmp_path, data, message):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError) as exc:
+            read_pgm(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("data", ACCEPTED_HEADERS)
+    def test_accepted_headers(self, tmp_path, data):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(data)
+        assert np.array_equal(read_pgm(str(path)), [[0, 1], [2, 3]])
+
+    def test_p5_raster_is_a_writable_copy_of_the_file(self, tmp_path):
+        path = tmp_path / "p.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03trailing")
+        raster = read_pgm(str(path))
+        raster[0, 0] = 9  # a view of the file's read-only bytes would refuse this
+        assert np.array_equal(raster, [[9, 1], [2, 3]])
 
     def test_non_power_of_two_file_rejected_at_encode(self, tmp_path):
         path = str(tmp_path / "odd.pgm")
