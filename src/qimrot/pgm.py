@@ -19,13 +19,16 @@ from .neqr import ImageFormatError, check_pixel_values
 # hold one (``P5#x``, ``2#c``).  A comment ends at a newline or at the end of
 # the data, so the engine cannot backtrack into it and read its text as a token.
 _TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*(?:\n|\Z))*([^# \t\r\n\v\f][^ \t\r\n\v\f]*)")
+_SPACE = b" \t\r\n\v\f"  # the whitespace of bytes.split
+_SHAPE = bytes(32 if b in _SPACE else 120 for b in range(256))  # whitespace to b" ", else b"x"
 
 
 def read_pgm(path: str) -> np.ndarray:
     """Read a P2 or P5 file into a uint8 array of shape (height, width).
 
-    The header is read in one pass, magic, width, height and maxval; exactly
-    one whitespace byte separates maxval from the raster.
+    The header is read in one pass; exactly one whitespace byte separates
+    maxval from the raster.  A P2 body is counted, checked and parsed by
+    whole-buffer calls, with no Python object per sample.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -51,21 +54,17 @@ def read_pgm(path: str) -> np.ndarray:
         if len(data) - pos < width * height:
             raise ImageFormatError(f"{path}: truncated raster data")
         return np.frombuffer(data, np.uint8, width * height, pos).copy().reshape(height, width)
-    values = data[pos:].split()
-    if len(values) != width * height:
-        raise ImageFormatError(
-            f"{path}: expected {width * height} samples, got {len(values)}"
-        )
+    body = data[pos:]
+    count = (b" " + body.translate(_SHAPE)).count(b" x")  # len(body.split()), no list
+    if count != width * height:
+        raise ImageFormatError(f"{path}: expected {width * height} samples, got {count}")
     outside = ImageFormatError(f"{path}: sample outside [0, {maxval}]")
-    if not b"".join(values).isdigit():
-        bad = next(v for v in values if not v.isdigit())
+    if not body.translate(None, _SPACE).isdigit():
+        bad = next(v for v in body.split() if not v.isdigit())
         if bad[:1] == b"-" and bad[1:].isdigit() and bad[1:].strip(b"0"):
             raise outside  # a negative number
         raise ImageFormatError(f"{path}: non-decimal sample {bad.decode(errors='replace')!r}")
-    try:
-        flat = np.array([int(v) for v in values], dtype=np.int64)
-    except OverflowError:  # beyond int64, so beyond maxval too
-        raise outside from None
+    flat = np.fromstring(body, np.float64, sep=" ")  # exact to 2^53; longer reads past maxval
     if flat.max() > maxval:
         raise outside
     return flat.astype(np.uint8).reshape(height, width)
@@ -94,7 +93,8 @@ def write_pgm(path: str, raster: np.ndarray, binary: bool = True) -> None:
     """Write a raster as P5 (default) or P2 through ``replace_atomically``.
 
     Its shape and values (``neqr.check_pixel_values``) are checked before any
-    file is made; a C-ordered uint8 raster is written from its own buffer.
+    file is made.  A C-ordered uint8 raster is written from its own buffer as
+    P5, or as P2 through one ``%`` format of a row template.
     """
     arr = np.asarray(raster)
     if arr.ndim != 2 or not arr.size:
@@ -105,5 +105,5 @@ def write_pgm(path: str, raster: np.ndarray, binary: bool = True) -> None:
     if binary:
         replace_atomically(path, f"P5\n{width} {height}\n255\n".encode(), np.ascontiguousarray(arr))
     else:
-        lines = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
-        replace_atomically(path, f"P2\n{width} {height}\n255\n{lines}\n".encode())
+        samples = (" ".join(["%d"] * width) + "\n") * height % tuple(arr.ravel().tolist())
+        replace_atomically(path, f"P2\n{width} {height}\n255\n{samples}".encode())

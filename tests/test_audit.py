@@ -44,6 +44,10 @@ class TestPredict:
         with pytest.raises(ValueError):
             measure("top_half_shear", 3)
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            predict("adder", 0)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             predict("qft", 3)

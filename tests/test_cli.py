@@ -260,6 +260,14 @@ class TestErrorExits:
                        "--angle", "30"]) == EXIT_FORMAT
         assert "sample outside [0, 255]" in capsys.readouterr().err
 
+    def test_p2_sample_count_names_the_input_once(self, tmp_path, capsys):
+        src = tmp_path / "short.pgm"
+        src.write_text("P2\n2 2\n255\n0 1 2\n")
+        assert invoke(["rotate", "--input", str(src), "--output", str(tmp_path / "x.pgm"),
+                       "--angle", "30"]) == EXIT_FORMAT == 2
+        assert capsys.readouterr().err == f"error: {src}: expected 4 samples, got 3\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["short.pgm"]
+
     @pytest.mark.parametrize("factor", [["--factor", "nan"], ["--factor", "inf"],
                                         ["--angle", "nan"], ["--angle", "inf"]])
     def test_non_finite_shear_factor(self, tmp_path, image_file, factor):

@@ -218,6 +218,13 @@ class TestBuilderChecks:
             emit(nb)
         assert nb.build().gates == ()
 
+    def test_register_name_is_declared_once(self):
+        nb = NetlistBuilder()
+        nb.register("w", 3)
+        with pytest.raises(CircuitStructureError, match="^register 'w' already declared$"):
+            nb.register("w", 1)
+        assert nb.build().labels == ("w[0]", "w[1]", "w[2]")
+
     def test_append_inverse_of_reverses_the_slice_as_overhead(self):
         nb = NetlistBuilder()
         nb.register("w", 3)

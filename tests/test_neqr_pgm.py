@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qimrot.neqr import ImageFormatError, NEQRImage, Terms, decode, encode, paint
+from qimrot.neqr import (
+    ImageFormatError, NEQRImage, Terms, check_pixel_values, decode, encode, paint,
+)
 from qimrot.pgm import read_pgm, write_pgm
 
 from rasters import columns
@@ -188,6 +190,41 @@ ACCEPTED_HEADERS = [
 ]
 
 
+# P2 bodies after a b"P2\n<width> 1\n255\n" header: (width, body, the row read
+# or the message after the path).  Leading zeros do not widen a sample, and a
+# sample beyond int64 or float64's exact integers is outside, not wrapped or rounded.
+OUTSIDE = "sample outside [0, 255]"
+P2_BODIES = [
+    pytest.param(1, b"0255", [255], id="leading-zero"),
+    pytest.param(1, b"0" * 40 + b"255", [255], id="40-zeros-then-255"),
+    pytest.param(4, b"0\v1\f2\r3\r", [0, 1, 2, 3], id="vt-ff-cr-separators"),
+    pytest.param(2, b"7 8", [7, 8], id="no-trailing-whitespace"),
+    pytest.param(1, b"0" * 40 + b"256", OUTSIDE, id="40-zeros-then-256"),
+    pytest.param(1, b"1000", OUTSIDE, id="1000"),
+    pytest.param(1, b"0001000", OUTSIDE, id="0001000"),
+    pytest.param(1, b"9007199254740993", OUTSIDE, id="2^53+1"),
+    pytest.param(2, b"0 9223372036854775808", OUTSIDE, id="2^63"),
+    pytest.param(2, b"1 " + b"9" * 400, OUTSIDE, id="400-digits"),
+    pytest.param(4, b"1 1 1\n", "expected 4 samples, got 3", id="too-few"),
+    pytest.param(4, b"1 1 1 1 1\n", "expected 4 samples, got 5", id="too-many"),
+    pytest.param(2, b"0\x001\n", "expected 2 samples, got 1", id="NUL-between-samples"),
+    pytest.param(2, b"0\xa01\n", "expected 2 samples, got 1", id="xa0-between-samples"),
+]
+
+# Rasters and the exact P2 file write_pgm makes of each.
+P2_GOLDEN = [
+    pytest.param(np.array([[0, 9, 10], [99, 100, 255]], dtype=np.uint8),
+                 b"P2\n3 2\n255\n0 9 10\n99 100 255\n", id="2x3"),
+    pytest.param(np.array([[7]], dtype=np.uint8), b"P2\n1 1\n255\n7\n", id="1x1"),
+    pytest.param(np.array([[1, 22, 255, 0, 3]], dtype=np.uint8),
+                 b"P2\n5 1\n255\n1 22 255 0 3\n", id="1x5"),
+    pytest.param(np.array([[1], [22], [255], [0], [3]], dtype=np.uint8),
+                 b"P2\n1 5\n255\n1\n22\n255\n0\n3\n", id="5x1"),
+    pytest.param(np.array([[0, 9, 10], [99, 100, 255]], dtype=np.int64),
+                 b"P2\n3 2\n255\n0 9 10\n99 100 255\n", id="2x3-int64"),
+]
+
+
 class TestPgm:
     @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
     def test_round_trip(self, tmp_path, binary):
@@ -262,6 +299,31 @@ class TestPgm:
         path.write_bytes(data)
         assert np.array_equal(read_pgm(str(path)), [[0, 1], [2, 3]])
 
+    def test_zero_width_is_refused(self, tmp_path):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5\n0 4\n255\n")
+        with pytest.raises(ImageFormatError) as exc:
+            read_pgm(str(path))
+        assert str(exc.value) == f"{path}: bad dimensions 0x4"
+
+    @pytest.mark.parametrize("width, body, want", P2_BODIES)
+    def test_p2_body(self, tmp_path, width, body, want):
+        path = tmp_path / "b.pgm"
+        path.write_bytes(b"P2\n%d 1\n255\n" % width + body)
+        if isinstance(want, str):
+            with pytest.raises(ImageFormatError) as exc:
+                read_pgm(str(path))
+            assert str(exc.value) == f"{path}: {want}"
+        else:
+            raster = read_pgm(str(path))
+            assert raster.dtype == np.uint8 and raster.tolist() == [want]
+
+    @pytest.mark.parametrize("raster, data", P2_GOLDEN)
+    def test_p2_golden_bytes(self, tmp_path, raster, data):
+        path = tmp_path / "g.pgm"
+        write_pgm(str(path), raster, binary=False)
+        assert path.read_bytes() == data
+
     def test_p5_raster_is_a_writable_copy_of_the_file(self, tmp_path):
         path = tmp_path / "p.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03trailing")
@@ -293,6 +355,17 @@ class TestPixelValueCheck:
                 encode(raster)
             with pytest.raises(ImageFormatError, match="^pixel values must be integers$"):
                 write_pgm(str(path), raster)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("element, message", [("seven", "must be integers"),
+                                                   (10**400, r"must lie in \[0, 255\]")],
+                             ids=["text", "10**400"])
+    def test_object_raster_element_float64_cannot_take(self, tmp_path, element, message):
+        raster = np.array([[1, 2], [3, element]], dtype=object)
+        with pytest.raises(ImageFormatError, match=f"^pixel values {message}$"):
+            check_pixel_values(raster)
+        with pytest.raises(ImageFormatError, match=f"^pixel values {message}$"):
+            write_pgm(str(tmp_path / "o.pgm"), raster, binary=False)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])

@@ -121,6 +121,15 @@ class TestApplyShear:
         img = encode(random_raster(8, seed=0))
         assert apply_shear(img, spec_for(HORIZONTAL, 0, 1, 3)) == img
 
+    def test_spec_built_for_another_frame_is_refused(self):
+        img = encode(random_raster(8, seed=0))
+        with pytest.raises(ValueError, match=r"^spec built for 2\^4 frame, image is 2\^3$"):
+            apply_shear(img, spec_for(HORIZONTAL, 4, 1, 4))
+
+    def test_expand_canvas_of_a_single_pixel_is_refused(self):
+        with pytest.raises(shear.DomainError, match="^cannot shear a single-pixel image$"):
+            expanded_canvas_params(0)
+
     def test_4x4_row_banded_paper_layout(self):
         img = encode(row_bands(4))
         out = decode(apply_shear(img, spec_for(HORIZONTAL, 16, 1, 2)))
